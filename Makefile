@@ -5,21 +5,21 @@
 GO ?= go
 
 # Concurrency-sensitive packages run under the race detector in CI. The
-# trellis and experiments packages gained worker pools; their parallel and
-# sweep tests run raced via race-parallel below.
+# experiments package's sweep worker pool runs raced via race-parallel
+# below.
 RACE_PKGS := ./internal/switchfab/ ./internal/netproto/ ./internal/metrics/ ./internal/mesh/ ./internal/churn/ ./internal/datapath/ ./cmd/rcbrd/
 
 # Packages whose worker-pool tests run raced through the race-parallel
 # target (each with its own -run filter, so they get explicit recipe lines).
 # TestMakefileRaceParallelSync asserts the recipe stays in sync with this
 # list — update both together.
-RACE_PARALLEL_PKGS := ./internal/trellis/ ./internal/experiments/ ./internal/switchfab/ ./internal/datapath/
+RACE_PARALLEL_PKGS := ./internal/experiments/ ./internal/switchfab/ ./internal/datapath/
 
 # Per-fuzz-target smoke budget. `go test -fuzz` takes one target per
 # invocation, hence the explicit list.
 FUZZTIME ?= 10s
 
-.PHONY: all lint test race race-parallel fuzz bench bench-json bench-compare bench-speedup
+.PHONY: all lint test race race-parallel fuzz bench bench-json bench-compare
 
 all: lint test race
 
@@ -51,24 +51,24 @@ race:
 	$(GO) test -race $(RACE_PKGS)
 	$(MAKE) race-parallel
 
-# race-parallel covers the worker pools added for the parallel optimizer
-# and the experiment sweep runner, plus the sharded-fabric churn shim behind
-# the scaling benchmarks. The datapath line pins GOMAXPROCS=4 so the
-# port-group goroutines truly interleave under the detector even on
-# smaller CI runners.
+# race-parallel covers the experiment sweep runner's worker pool, plus the
+# sharded-fabric churn shim behind the scaling benchmarks. The datapath
+# line pins GOMAXPROCS=4 so the forwarder, producers and transmitters truly
+# interleave under the detector even on smaller CI runners.
 race-parallel:
-	$(GO) test -race -run 'Parallel' ./internal/trellis/
 	$(GO) test -race -run 'Sweep|Fig|MBAC|Latency|Chernoff' ./internal/experiments/
 	$(GO) test -race -run 'Parallel' ./internal/switchfab/
-	GOMAXPROCS=4 $(GO) test -race -run 'Conservation|Run|MPSC' ./internal/datapath/
+	GOMAXPROCS=4 $(GO) test -race -run 'Conservation|Storm|Ring' ./internal/datapath/
 
 # fuzz smokes every fuzz target for FUZZTIME each: long enough to catch
 # shallow regressions in the parsers, short enough for every CI run.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/cell/
 	$(GO) test -run '^$$' -fuzz '^FuzzRate16$$' -fuzztime $(FUZZTIME) ./internal/cell/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseData$$' -fuzztime $(FUZZTIME) ./internal/cell/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseFrame$$' -fuzztime $(FUZZTIME) ./internal/netproto/
 	$(GO) test -run '^$$' -fuzz '^FuzzServerHandle$$' -fuzztime $(FUZZTIME) ./internal/netproto/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRMBatch$$' -fuzztime $(FUZZTIME) ./internal/netproto/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime $(FUZZTIME) ./internal/trace/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadText$$' -fuzztime $(FUZZTIME) ./internal/trace/
 	$(GO) test -run '^$$' -fuzz '^FuzzIgnoreDirective$$' -fuzztime $(FUZZTIME) ./internal/analysis/
@@ -95,9 +95,3 @@ bench-compare:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime=$(BENCHTIME) -timeout 30m . \
 		| $(GO) run ./cmd/benchjson -o BENCH_new.json
 	$(GO) run ./cmd/benchjson -compare -threshold 15 $(BENCHJSON) BENCH_new.json
-
-# bench-speedup runs the full two-hour-trace optimization serial vs
-# Parallelism=4 — the EXPERIMENTS.md speedup record.
-bench-speedup:
-	RCBR_FULL_BENCH=1 $(GO) test -run '^$$' -bench BenchmarkTrellisFullTrace \
-		-benchmem -benchtime=$(or $(FULLBENCHTIME),3x) -timeout 60m .

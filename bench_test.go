@@ -9,7 +9,6 @@ import (
 	"os"
 	"runtime"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -210,35 +209,9 @@ func BenchmarkTrellisLevels10(b *testing.B) { benchTrellisLevels(b, 10) }
 func BenchmarkTrellisLevels20(b *testing.B) { benchTrellisLevels(b, 20) }
 func BenchmarkTrellisLevels50(b *testing.B) { benchTrellisLevels(b, 50) }
 
-// --- Parallel trellis advance (Options.Parallelism) ---
-
-func benchTrellisParallel(b *testing.B, workers int) {
-	tr := benchTrace(b)
-	levels := experiments.FeasibleLevels(tr, 300e3, 20)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, _, err := trellis.Optimize(tr, trellis.Options{
-			Levels:         levels,
-			BufferBits:     300e3,
-			BufferGridBits: 300e3 / 2048,
-			Cost:           core.CostModel{Alpha: 1e6, Beta: 1},
-			Parallelism:    workers,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTrellisParallel1(b *testing.B) { benchTrellisParallel(b, 1) }
-func BenchmarkTrellisParallel2(b *testing.B) { benchTrellisParallel(b, 2) }
-func BenchmarkTrellisParallel4(b *testing.B) { benchTrellisParallel(b, 4) }
-
-// Full-length StarWars optimization, the EXPERIMENTS.md speedup workload.
-// Two hours of video is too heavy for the CI smoke run, so these only fire
-// when RCBR_FULL_BENCH is set (see `make bench-speedup`).
-func benchTrellisFullTrace(b *testing.B, workers int) {
+// Full-length StarWars optimization. Two hours of video is too heavy for
+// the CI smoke run, so this only fires when RCBR_FULL_BENCH is set.
+func BenchmarkTrellisFullTraceSerial(b *testing.B) {
 	if os.Getenv("RCBR_FULL_BENCH") == "" {
 		b.Skip("set RCBR_FULL_BENCH=1 to run the full-trace benchmark")
 	}
@@ -252,16 +225,12 @@ func benchTrellisFullTrace(b *testing.B, workers int) {
 			BufferBits:     300e3,
 			BufferGridBits: 300e3 / 2048,
 			Cost:           core.CostModel{Alpha: 1e6, Beta: 1},
-			Parallelism:    workers,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
 }
-
-func BenchmarkTrellisFullTraceSerial(b *testing.B)    { benchTrellisFullTrace(b, 1) }
-func BenchmarkTrellisFullTraceParallel4(b *testing.B) { benchTrellisFullTrace(b, 4) }
 
 // --- Ablation: Lemma-1 pruning rules ---
 
@@ -832,142 +801,6 @@ func BenchmarkDataPathForward8Port1kVC(b *testing.B)   { benchDataPathForward(b,
 func BenchmarkDataPathForward1Port100kVC(b *testing.B) { benchDataPathForward(b, 1, 100_000) }
 func BenchmarkDataPathForward4Port100kVC(b *testing.B) { benchDataPathForward(b, 4, 100_000) }
 func BenchmarkDataPathForward8Port100kVC(b *testing.B) { benchDataPathForward(b, 8, 100_000) }
-
-// benchDataPathForwardParallel measures the multi-core forwarding path in
-// caller-managed group mode: one worker goroutine per port group, each
-// cycling inject → ForwardGroup → Transmit on its own port and clock. Every
-// VC on port g egresses on port (g+1) mod groups, so with more than one
-// group every forwarded cell crosses goroutines through the egress MPSC
-// ring. Workers drift freely (no per-cycle barrier — that is the production
-// shape), so the final check is exact conservation rather than zero loss:
-// with the rings sized ≥ one full cycle of drift per port, overflow stays
-// possible in principle but policing must be zero, and every arrived cell
-// must be forwarded, policed, or overflowed — nothing lost, nothing
-// duplicated. ns/op is one cycle of 64 cells on every group at once;
-// cells/s aggregates transmissions across all workers.
-func benchDataPathForwardParallel(b *testing.B, groups int) {
-	const (
-		vcsPerPort = 16
-		perPort    = 64
-	)
-	f := datapath.New(datapath.WithPortGroups(groups), datapath.WithRingCells(8192))
-	pl := make([]*datapath.Port, groups)
-	for g := 0; g < groups; g++ {
-		var err error
-		if pl[g], err = f.AddPort(g); err != nil {
-			b.Fatal(err)
-		}
-	}
-	cells := make([][]datapath.Cell, groups)
-	for g := 0; g < groups; g++ {
-		cells[g] = make([]datapath.Cell, vcsPerPort)
-		for v := 0; v < vcsPerPort; v++ {
-			id := switchfab.MakeVCID(uint8(g), uint16(v))
-			if err := f.AddVC(id, (g+1)%groups, 1e12); err != nil {
-				b.Fatal(err)
-			}
-			h := cell.Header{VPI: id.VPI(), VCI: id.VCI()}
-			if err := cell.PutData(&cells[g][v], h, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	var (
-		wg          sync.WaitGroup
-		moved       int64
-		injectFails int64
-	)
-	start := make(chan struct{})
-	worker := func(g int, cycles int, count bool) {
-		defer wg.Done()
-		<-start
-		now := int64(0)
-		vc := 0
-		var local int64
-		for i := 0; i < cycles; i++ {
-			now += int64(time.Millisecond)
-			for j := 0; j < perPort; j++ {
-				// Cannot fail: this goroutine is both the port's only
-				// producer and (via ForwardGroup) its ingress consumer.
-				if !f.Inject(pl[g], &cells[g][vc]) {
-					atomic.AddInt64(&injectFails, 1)
-				}
-				vc++
-				if vc == vcsPerPort {
-					vc = 0
-				}
-			}
-			f.ForwardGroup(g, now)
-			local += int64(f.Transmit(pl[g], 2*perPort))
-		}
-		if count {
-			atomic.AddInt64(&moved, local)
-		}
-	}
-	// Warmup rendezvous: at -benchtime=1x the timed region is a single
-	// fan-out, so the runtime's one-time blocking costs (sudog and stack
-	// growth for the channel receive and WaitGroup wait) would read as
-	// allocs/op. One untimed round through the identical path leaves those
-	// caches hot. Its cells are not counted in moved; the conservation
-	// check below includes them via warmupCycles.
-	const warmupCycles = 2
-	for g := 0; g < groups; g++ {
-		wg.Add(1)
-		go worker(g, warmupCycles, false)
-	}
-	close(start)
-	wg.Wait()
-	start = make(chan struct{})
-	for g := 0; g < groups; g++ {
-		wg.Add(1)
-		go worker(g, b.N, true)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	close(start)
-	wg.Wait()
-	b.StopTimer()
-	if injectFails != 0 {
-		b.Fatalf("%d injects refused by a single-goroutine-owned ring", injectFails)
-	}
-	// Drain what worker drift left behind, then settle the ledgers.
-	now := int64(b.N+warmupCycles+2) * int64(time.Millisecond)
-	for idle := 0; idle < 2; now += int64(time.Millisecond) {
-		n := f.Forward(now)
-		for _, p := range pl {
-			n += f.Transmit(p, 2*perPort)
-		}
-		if n == 0 {
-			idle++
-		} else {
-			idle = 0
-		}
-	}
-	var arrived, forwarded, policed, overflow, transmitted int64
-	for _, p := range pl {
-		ps := p.Stats()
-		arrived += ps.Arrived
-		forwarded += ps.Forwarded
-		policed += ps.Policed
-		overflow += ps.Overflow
-		transmitted += ps.Transmitted
-	}
-	if want := int64(b.N+warmupCycles) * int64(groups) * perPort; arrived != want {
-		b.Fatalf("arrived %d cells, want %d", arrived, want)
-	}
-	if policed != 0 {
-		b.Fatalf("%d cells policed at 1e12 bits/s", policed)
-	}
-	if forwarded+policed+overflow != arrived || transmitted != forwarded {
-		b.Fatalf("conservation: arrived %d, forwarded %d, policed %d, overflow %d, transmitted %d",
-			arrived, forwarded, policed, overflow, transmitted)
-	}
-	b.ReportMetric(float64(moved)/b.Elapsed().Seconds(), "cells/s")
-}
-
-func BenchmarkDataPathForwardParallel1(b *testing.B) { benchDataPathForwardParallel(b, 1) }
-func BenchmarkDataPathForwardParallel2(b *testing.B) { benchDataPathForwardParallel(b, 2) }
-func BenchmarkDataPathForwardParallel4(b *testing.B) { benchDataPathForwardParallel(b, 4) }
 
 // --- Data-cell codec (tracked subset of internal/cell) ---
 

@@ -38,22 +38,21 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("schedule", flag.ContinueOnError)
 	var (
-		mode     = fs.String("mode", "offline", "offline (optimal) or online (AR1 heuristic)")
-		in       = fs.String("in", "", "trace file (empty: synthesize)")
-		frames   = fs.Int("frames", 28800, "synthetic trace frames")
-		seed     = fs.Uint64("seed", 1, "synthetic trace seed")
-		buffer   = fs.Float64("buffer", 300e3, "source buffer B (bits)")
-		alpha    = fs.Float64("alpha", 1e6, "offline: cost per renegotiation")
-		beta     = fs.Float64("beta", 1, "offline: cost per bit of allocation")
-		levels   = fs.Int("levels", 20, "offline: number of bandwidth levels")
-		delay    = fs.Int("delay", 0, "offline: delay bound in slots (0 = none)")
-		drained  = fs.Bool("drained", false, "offline: require the buffer drained at the end")
-		delta    = fs.Float64("delta", 64e3, "online: bandwidth granularity (bits/s)")
-		gop      = fs.Bool("gopaware", false, "online: use the GOP-aware predictor")
-		dump     = fs.Bool("dump", false, "print every segment")
-		parallel = fs.Int("parallel", 1, "offline: trellis worker count (0 = GOMAXPROCS)")
-		cpuprof  = fs.String("cpuprofile", "", "write a CPU profile to this file")
-		memprof  = fs.String("memprofile", "", "write a heap profile to this file on exit")
+		mode    = fs.String("mode", "offline", "offline (optimal) or online (AR1 heuristic)")
+		in      = fs.String("in", "", "trace file (empty: synthesize)")
+		frames  = fs.Int("frames", 28800, "synthetic trace frames")
+		seed    = fs.Uint64("seed", 1, "synthetic trace seed")
+		buffer  = fs.Float64("buffer", 300e3, "source buffer B (bits)")
+		alpha   = fs.Float64("alpha", 1e6, "offline: cost per renegotiation")
+		beta    = fs.Float64("beta", 1, "offline: cost per bit of allocation")
+		levels  = fs.Int("levels", 20, "offline: number of bandwidth levels")
+		delay   = fs.Int("delay", 0, "offline: delay bound in slots (0 = none)")
+		drained = fs.Bool("drained", false, "offline: require the buffer drained at the end")
+		delta   = fs.Float64("delta", 64e3, "online: bandwidth granularity (bits/s)")
+		gop     = fs.Bool("gopaware", false, "online: use the GOP-aware predictor")
+		dump    = fs.Bool("dump", false, "print every segment")
+		cpuprof = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memprof = fs.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -86,9 +85,6 @@ func run(args []string, out io.Writer) error {
 			f.Close()
 		}()
 	}
-	if *parallel == 0 {
-		*parallel = runtime.GOMAXPROCS(0)
-	}
 
 	var tr *trace.Trace
 	var err error
@@ -117,7 +113,6 @@ func run(args []string, out io.Writer) error {
 			Cost:            core.CostModel{Alpha: *alpha, Beta: *beta},
 			RequireDrained:  *drained,
 			FinalSlackBits:  *buffer / 100,
-			Parallelism:     *parallel,
 		}
 		var st trellis.Stats
 		sch, st, err = trellis.Optimize(tr, opts)

@@ -29,13 +29,13 @@ import (
 //     ring-named struct type declaring a mutex field, or any acquisition of
 //     a mutex owned by a ring-named type, is reported — the hierarchy ends
 //     at shard → port → never a ring lock.
-//  5. MPSC window: the multi-producer egress rings (DESIGN §15) are
-//     lock-free on both sides, and the hot path's push→pop window must stay
-//     that way — a function that pushes onto an MPSC-named ring and later
-//     pops/peeks/advances one must not acquire any mutex in between. The
-//     forwarder's sweep holds only its shard read lock *around* the push,
-//     never across to the consumer side; a lock inside the window would sit
-//     on the wire-rate path of every group goroutine.
+//  5. MPSC window: a multi-producer ring (any ring-named type carrying the
+//     MPSC marker) must stay lock-free across its push→pop window — a
+//     function that pushes onto an MPSC-named ring and later
+//     pops/peeks/advances one must not acquire any mutex in between. A
+//     lock inside the window would sit on the wire-rate path of every
+//     producer. The data path's own rings are SPSC (DESIGN §14), so today
+//     the rule guards only against a multi-producer ring reappearing.
 //
 // A re-acquisition of the very same lock expression via Lock (not RLock) is
 // additionally flagged as a self-deadlock. The walk is structural, like
@@ -118,7 +118,7 @@ func runLockOrder(pass *Pass) error {
 }
 
 // mpscRingNamed reports whether a type name denotes a multi-producer ring:
-// a ring-named type whose name also carries the MPSC marker ("MPSCRing",
+// a ring-named type whose name also carries the MPSC marker (for example
 // "mpscCellRing").
 func mpscRingNamed(name string) bool {
 	return ringNamed(name) && strings.Contains(strings.ToLower(name), "mpsc")

@@ -1,6 +1,7 @@
 package cell
 
 import (
+	"bytes"
 	"math"
 	"testing"
 )
@@ -58,6 +59,37 @@ func FuzzRate16(f *testing.F) {
 		if DecodeRate16(v2) != r {
 			t.Fatalf("codec not idempotent: %#x -> %v -> %#x -> %v",
 				v, r, v2, DecodeRate16(v2))
+		}
+	})
+}
+
+// FuzzParseData checks the data-cell codec: for any header PutData accepts,
+// ParseData returns that header and the zero-padded payload unchanged, and
+// PeekVCID returns its VPI and VCI.
+func FuzzParseData(f *testing.F) {
+	f.Add(uint8(0), uint8(0), uint16(0), uint8(0), false, []byte{})
+	f.Add(uint8(0xF), uint8(0xFF), uint16(0xFFFF), uint8(3), true, []byte("payload"))
+	f.Add(uint8(1), uint8(3), uint16(42), uint8(4), false, make([]byte, PayloadSize))
+	f.Fuzz(func(t *testing.T, gfc, vpi uint8, vci uint16, pti uint8, clp bool, payload []byte) {
+		h := Header{GFC: gfc, VPI: vpi, VCI: vci, PTI: pti, CLP: clp}
+		var buf [Size]byte
+		if err := PutData(&buf, h, payload); err != nil {
+			return
+		}
+		got, body, err := ParseData(buf[:])
+		if err != nil {
+			t.Fatalf("ParseData rejected a cell PutData built from %+v: %v", h, err)
+		}
+		if got != h {
+			t.Fatalf("header %+v came back as %+v", h, got)
+		}
+		want := make([]byte, PayloadSize)
+		copy(want, payload)
+		if !bytes.Equal(body, want) {
+			t.Fatalf("payload %x came back as %x", want, body)
+		}
+		if pvpi, pvci := PeekVCID(buf[:]); pvpi != vpi || pvci != vci {
+			t.Fatalf("PeekVCID = (%d, %d), want (%d, %d)", pvpi, pvci, vpi, vci)
 		}
 	})
 }

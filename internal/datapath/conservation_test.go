@@ -1,7 +1,6 @@
 package datapath
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -13,50 +12,48 @@ import (
 	"rcbr/internal/switchfab"
 )
 
-// TestConservationAcrossGroupsAndProcs is the multi-core conservation
-// property: for random rate mixes, every injected cell is accounted for
-// exactly once — injected == transmitted + dropped + in-flight, with
-// in-flight exactly zero after the drain — whatever the parallelism. The
-// grid crosses GOMAXPROCS 1/2/4 with port-group counts 1/2/8, so the same
-// invariant is checked with goroutines that truly interleave and with
-// goroutines multiplexed on one core; `make race` runs it under the race
-// detector at GOMAXPROCS=4 (race-gated counts in norace_test.go /
-// race_test.go).
-func TestConservationAcrossGroupsAndProcs(t *testing.T) {
+// TestConservationAcrossProcs is the concurrent conservation property: for
+// random rate mixes, every injected cell is accounted for exactly once —
+// injected == transmitted + dropped + in-flight, with in-flight exactly
+// zero after the drain — whatever the interleaving. It runs at GOMAXPROCS
+// 1, 2 and 4, so the same invariant is checked with goroutines that truly
+// interleave and with goroutines multiplexed on one core; `make race` runs
+// it under the race detector at GOMAXPROCS=4 (race-gated counts in
+// norace_test.go / race_test.go).
+func TestConservationAcrossProcs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 4} {
-		for _, groups := range []int{1, 2, 8} {
-			t.Run(fmt.Sprintf("procs=%d,groups=%d", procs, groups), func(t *testing.T) {
-				runtime.GOMAXPROCS(procs)
-				prop := func(seed uint64) bool {
-					return conservationHolds(t, seed, groups)
-				}
-				cfg := &quick.Config{
-					MaxCount: conservationQuickRuns,
-					Rand:     rand.New(rand.NewSource(int64(procs)<<8 | int64(groups))),
-				}
-				if err := quick.Check(prop, cfg); err != nil {
-					t.Fatal(err)
-				}
-			})
-		}
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			runtime.GOMAXPROCS(procs)
+			prop := func(seed uint64) bool {
+				return conservationHolds(t, seed)
+			}
+			cfg := &quick.Config{
+				MaxCount: conservationQuickRuns,
+				Rand:     rand.New(rand.NewSource(int64(procs))),
+			}
+			if err := quick.Check(prop, cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
-// conservationHolds runs one storm: a forwarder with the given port-group
-// count Running, one producer per ingress port, a control-plane goroutine
-// retargeting rates, then Stop and a single-driver drain. Rates are drawn
-// from seed (zero, trickle, and effectively-unlimited VCs mixed), so cells
-// split across policed / overflow / forwarded unpredictably — the ledgers
-// must balance exactly regardless.
-func conservationHolds(t *testing.T, seed uint64, groups int) bool {
+// conservationHolds runs one storm: one producer per ingress port, one
+// goroutine calling Forward, one transmitter per egress port and a
+// control-plane goroutine retargeting rates, all concurrently; then a
+// single-driver drain. Rates are drawn from seed (zero, trickle, and
+// effectively-unlimited VCs mixed), so cells split across policed /
+// overflow / forwarded unpredictably — the ledgers must balance exactly
+// regardless.
+func conservationHolds(t *testing.T, seed uint64) bool {
 	t.Helper()
 	const (
 		ports      = 8
 		vcsPerPort = 4
 	)
 	rng := rand.New(rand.NewSource(int64(seed)))
-	f := New(WithPortGroups(groups), WithRingCells(64), WithBurst(16), WithDepthCells(2))
+	f := New(WithRingCells(64), WithBurst(16), WithDepthCells(2))
 	pp := make([]*Port, ports)
 	for i := range pp {
 		p, err := f.AddPort(i)
@@ -83,10 +80,6 @@ func conservationHolds(t *testing.T, seed uint64, groups int) bool {
 			ids = append(ids, id)
 		}
 	}
-	if err := f.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-
 	var injected, refused atomic.Int64
 	var prodWG sync.WaitGroup
 	for i := 0; i < ports; i++ {
@@ -108,17 +101,40 @@ func conservationHolds(t *testing.T, seed uint64, groups int) bool {
 		}(i, seed+uint64(i))
 	}
 	stop := make(chan struct{})
-	var ctlWG sync.WaitGroup
-	ctlWG.Add(1)
+	stopped := func() bool {
+		select {
+		case <-stop:
+			return true
+		default:
+			return false
+		}
+	}
+	var loopWG sync.WaitGroup
+	loopWG.Add(1)
 	go func() {
-		defer ctlWG.Done()
-		r := seed | 1
-		for {
-			select {
-			case <-stop:
-				return
-			default:
+		defer loopWG.Done()
+		for now := int64(0); !stopped(); now += 1e5 {
+			if f.Forward(now) == 0 {
+				runtime.Gosched()
 			}
+		}
+	}()
+	for _, p := range pp {
+		loopWG.Add(1)
+		go func(p *Port) {
+			defer loopWG.Done()
+			for !stopped() {
+				if f.Transmit(p, 64) == 0 {
+					runtime.Gosched()
+				}
+			}
+		}(p)
+	}
+	loopWG.Add(1)
+	go func() {
+		defer loopWG.Done()
+		r := seed | 1
+		for !stopped() {
 			r = r*6364136223846793005 + 1
 			f.SetVCRate(ids[r%uint64(len(ids))], float64(r%1000)*CellPayloadBits)
 			runtime.Gosched()
@@ -126,8 +142,7 @@ func conservationHolds(t *testing.T, seed uint64, groups int) bool {
 	}()
 	prodWG.Wait()
 	close(stop)
-	ctlWG.Wait()
-	f.Stop()
+	loopWG.Wait()
 
 	// Single-driver drain, far in the future so every earning VC earns.
 	now := int64(1) << 50
@@ -145,7 +160,7 @@ func conservationHolds(t *testing.T, seed uint64, groups int) bool {
 
 	ok := true
 	fail := func(format string, args ...any) {
-		t.Errorf("seed %d groups %d: "+format, append([]any{seed, groups}, args...)...)
+		t.Errorf("seed %d: "+format, append([]any{seed}, args...)...)
 		ok = false
 	}
 	var arrived, sunk, transmitted, enqueued, dropped int64

@@ -11,46 +11,23 @@
 // cells.
 //
 // Concurrency model: any number of producer goroutines inject, one per
-// ingress port (the SPSC contract); ports are partitioned into PORT GROUPS
-// (WithPortGroups, default 1), each owned by one forwarding goroutine that
-// drains its ports' ingress rings. Egress rings are multi-producer/
-// single-consumer (MPSCRing): any group may deposit cells onto any egress
-// port, while exactly one consumer goroutine per port calls Transmit/
-// TransmitTo. The control plane (switchfab via the DataPlane hooks, or
-// direct calls) adds, retargets, and removes VCs concurrently with all of
-// it.
-//
-// Per-VC shaper state is owned by the goroutine that drains the VC's
-// ingress port — all cells of a VC enter through one port, so exactly one
-// group goroutine touches its token bucket — and is guarded against
-// teardown by the table shard's reader lock; rate retargets cross from the
-// control plane through a single atomic. The steady-state forwarding path
-// takes no locks other than that shard read lock and allocates nothing
+// ingress port (the SPSC contract); ONE goroutine calls Forward, draining
+// every ingress ring; each egress port has one consumer goroutine calling
+// Transmit/TransmitTo, which may be the Forward goroutine itself; the
+// control plane (switchfab via the DataPlane hooks, or direct calls) adds,
+// retargets, and removes VCs concurrently with all of it. Per-VC shaper
+// state is owned by the Forward goroutine and guarded against teardown by
+// the table shard's reader lock; rate retargets cross from the control
+// plane through a single atomic. The steady-state forwarding path takes no
+// locks other than that shard read lock and allocates nothing
 // (//rcbr:zeroalloc, pinned by TestForwardSteadyStateAllocs).
-//
-// Two driving modes share that contract:
-//
-//   - Single-driver (the pre-multi-core mode, and the default): one
-//     goroutine calls Forward(now) and Transmit for every port, supplying
-//     a virtual clock. Group partitioning is irrelevant; everything
-//     behaves as one group.
-//   - Run(ctx)/Stop: the forwarder spawns one goroutine per port group,
-//     each looping batched Forward ticks over its own ports on the wall
-//     clock (or the SetNow manual clock under WithManualClock). Egress
-//     draining stays with the caller — one Transmit consumer per port —
-//     so a relay (mesh.CellPath), a wire transmitter, or a benchmark can
-//     own delivery. Forward and ForwardGroup panic while a Run is active:
-//     they would make two goroutines consume one ingress ring.
 package datapath
 
 import (
-	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"rcbr/internal/cell"
 	"rcbr/internal/metrics"
@@ -92,18 +69,6 @@ const (
 	// DefaultDepthCells is the default shaper depth in cells: the burst a
 	// conforming VC may send ahead of its sustained rate.
 	DefaultDepthCells = 32
-	// DefaultPortGroups is the default number of forwarding goroutines a
-	// Run spawns: one, the single-core data path of DESIGN §14.
-	DefaultPortGroups = 1
-)
-
-// idleSpinSweeps is how many consecutive empty sweeps a group goroutine
-// spins (yielding) before it starts sleeping between sweeps; idleSleep is
-// that sleep. Busy ports never sleep; an idle group costs ~idleSleep of
-// wakeup latency instead of a core.
-const (
-	idleSpinSweeps = 64
-	idleSleep      = 20 * time.Microsecond
 )
 
 // sentinel for a VC that has not yet seen a cell: the first cell sets the
@@ -132,10 +97,9 @@ type instruments struct {
 // flows; drops are attributed to the *ingress* port the cell arrived on,
 // whichever egress ring it failed to enter.
 type Port struct {
-	id    int
-	group int
-	in    *Ring
-	out   *MPSCRing
+	id  int
+	in  *Ring
+	out *Ring
 
 	// Ingress-attributed counts: every cell accepted by Inject ends in
 	// exactly one of badHeader, unroutable, policed, overflow, forwarded,
@@ -156,9 +120,6 @@ type Port struct {
 
 // ID returns the port number.
 func (p *Port) ID() int { return p.id }
-
-// Group returns the port group that owns this port's ingress ring.
-func (p *Port) Group() int { return p.group }
 
 // InLen returns the ingress ring occupancy.
 func (p *Port) InLen() int { return p.in.Len() }
@@ -248,37 +209,15 @@ type Forwarder struct {
 	shards    []shard
 	shardMask uint32
 
-	// portsMu guards the ports map and the group round-robin cursor;
-	// portList is the forwarding goroutines' lock-free snapshot,
-	// republished on every AddPort.
-	portsMu   sync.Mutex
-	ports     map[int]*Port
-	nextGroup int
-	portList  atomic.Pointer[[]*Port]
+	// portsMu guards the ports map; portList is the Forward goroutine's
+	// lock-free snapshot, republished on every AddPort.
+	portsMu  sync.Mutex
+	ports    map[int]*Port
+	portList atomic.Pointer[[]*Port]
 
 	burst     int
 	ringCells int
 	depthBits float64
-
-	// Port-group configuration: groups is the number of forwarding
-	// goroutines Run spawns; groupPins holds WithGroupOf static overrides
-	// (port id → group), applied when the port is added.
-	groups    int
-	groupPins map[int]int
-
-	// Run/Stop lifecycle. running gates the single-driver entry points
-	// (Forward, ForwardGroup) against the group goroutines; clockNanos is
-	// both the SetNow manual clock and the high-water mark of the last
-	// virtual Forward clock, so a Run resumes where virtual time stopped
-	// and per-VC clocks never go backwards.
-	running     atomic.Bool
-	manualClock bool
-	clockNanos  atomic.Int64
-	runMu       sync.Mutex
-	stopCh      chan struct{} // closed by the first Stop; guarded by runMu
-	stopping    bool          // stopCh already closed; guarded by runMu
-	stopDone    chan struct{} // closed once the goroutines have exited
-	runWG       sync.WaitGroup
 
 	reg *metrics.Registry
 	ins instruments
@@ -324,41 +263,6 @@ func WithMetrics(reg *metrics.Registry) Option {
 	return func(f *Forwarder) { f.reg = reg }
 }
 
-// WithPortGroups partitions ports across n forwarding goroutines (default
-// DefaultPortGroups). Ports are assigned round-robin in AddPort order
-// unless pinned with WithGroupOf. Values < 1 keep the default.
-func WithPortGroups(n int) Option {
-	return func(f *Forwarder) {
-		if n >= 1 {
-			f.groups = n
-		}
-	}
-}
-
-// WithGroupOf pins a port (by id) to a specific group, overriding the
-// round-robin assignment when that port is added. Groups wrap modulo the
-// configured group count, so a pin stays valid if WithPortGroups shrinks.
-func WithGroupOf(port, group int) Option {
-	return func(f *Forwarder) {
-		if f.groupPins == nil {
-			f.groupPins = make(map[int]int)
-		}
-		if group < 0 {
-			group = 0
-		}
-		f.groupPins[port] = group
-	}
-}
-
-// WithManualClock makes Run's group goroutines read the clock stored by
-// SetNow instead of the wall clock, so a virtual-time driver (mesh.CellPath,
-// a simulation) can own time while the forwarding work still runs on the
-// group goroutines. Without it, Run uses the wall clock anchored at the
-// last virtual Forward tick.
-func WithManualClock() Option {
-	return func(f *Forwarder) { f.manualClock = true }
-}
-
 // New returns an empty forwarder: add ports, then VCs, then pump it.
 func New(opts ...Option) *Forwarder {
 	f := &Forwarder{
@@ -367,7 +271,6 @@ func New(opts ...Option) *Forwarder {
 		burst:     DefaultBurst,
 		ringCells: DefaultRingCells,
 		depthBits: DefaultDepthCells * CellPayloadBits,
-		groups:    DefaultPortGroups,
 	}
 	for _, opt := range opts {
 		if opt != nil {
@@ -402,20 +305,14 @@ func (f *Forwarder) shard(id switchfab.VCID) *shard {
 	return &f.shards[uint32(id)&f.shardMask]
 }
 
-// AddPort registers a port and its ring pair, assigning it to a port group
-// (round-robin in add order, unless pinned with WithGroupOf).
+// AddPort registers a port and its ring pair.
 func (f *Forwarder) AddPort(id int) (*Port, error) {
 	f.portsMu.Lock()
 	defer f.portsMu.Unlock()
 	if _, ok := f.ports[id]; ok {
 		return nil, fmt.Errorf("datapath: port %d exists", id)
 	}
-	g, pinned := f.groupPins[id]
-	if !pinned {
-		g = f.nextGroup
-		f.nextGroup = (f.nextGroup + 1) % f.groups
-	}
-	p := &Port{id: id, group: g % f.groups, in: NewRing(f.ringCells), out: NewMPSCRing(f.ringCells)}
+	p := &Port{id: id, in: NewRing(f.ringCells), out: NewRing(f.ringCells)}
 	f.ports[id] = p
 	old := *f.portList.Load()
 	next := make([]*Port, len(old), len(old)+1)
@@ -551,189 +448,31 @@ func (f *Forwarder) Inject(p *Port, c *Cell) bool {
 }
 
 // Forward runs one sweep of the forwarding loop at virtual time nowNanos:
-// it visits every port (all groups) and drains up to the configured burst
-// of cells from each ingress ring, shaping and routing each to its egress
-// ring. It returns the number of cells processed (forwarded or dropped).
-// Single-driver mode only — it panics while a Run is active, because the
-// group goroutines already consume the ingress rings; nowNanos must not
-// decrease between calls.
+// it visits every port and drains up to the configured burst of cells from
+// each ingress ring, shaping and routing each to its egress ring. It
+// returns the number of cells processed (forwarded or dropped). Only one
+// goroutine may call Forward, and nowNanos must not decrease between
+// calls.
 //
 //rcbr:zeroalloc
 func (f *Forwarder) Forward(nowNanos int64) int {
-	if f.running.Load() {
-		panic("datapath: Forward called while Run is active")
-	}
 	total := 0
 	ports := *f.portList.Load()
 	for _, p := range ports {
 		total += f.forwardPort(p, nowNanos)
 	}
-	f.noteNow(nowNanos)
 	f.ins.batches.Inc()
 	f.ins.batchCells.Observe(float64(total))
 	return total
-}
-
-// ForwardGroup runs one sweep over the ingress ports of one group only.
-// It is the caller-managed parallel mode: a driver may run one goroutine
-// per group, each calling ForwardGroup(g, now) with its own nondecreasing
-// clock, without starting Run. At most one goroutine per group, never
-// concurrently with Forward or an active Run (it panics on the latter).
-// Batch metrics count only non-empty sweeps, so an idle polling driver
-// does not drown the histogram in zeros.
-//
-//rcbr:zeroalloc
-func (f *Forwarder) ForwardGroup(g int, nowNanos int64) int {
-	if f.running.Load() {
-		panic("datapath: ForwardGroup called while Run is active")
-	}
-	total := f.sweepGroup(g, nowNanos)
-	f.noteNow(nowNanos)
-	return total
-}
-
-// sweepGroup is one batched Forward tick over group g's ports: the unit of
-// work of both ForwardGroup and the Run goroutines.
-//
-//rcbr:zeroalloc
-func (f *Forwarder) sweepGroup(g int, nowNanos int64) int {
-	total := 0
-	ports := *f.portList.Load()
-	for _, p := range ports {
-		if p.group == g {
-			total += f.forwardPort(p, nowNanos)
-		}
-	}
-	if total > 0 {
-		f.ins.batches.Inc()
-		f.ins.batchCells.Observe(float64(total))
-	}
-	return total
-}
-
-// noteNow raises the forwarder's clock high-water mark to nowNanos, so a
-// later Run resumes from where virtual time stopped.
-//
-//rcbr:zeroalloc
-func (f *Forwarder) noteNow(nowNanos int64) {
-	for {
-		old := f.clockNanos.Load()
-		if nowNanos <= old || f.clockNanos.CompareAndSwap(old, nowNanos) {
-			return
-		}
-	}
-}
-
-// SetNow stores the manual clock read by Run's group goroutines under
-// WithManualClock (it never goes backwards; stale stores are ignored).
-// Without WithManualClock it only raises the clock floor the next Run
-// anchors to.
-func (f *Forwarder) SetNow(nowNanos int64) { f.noteNow(nowNanos) }
-
-// Running reports whether group goroutines are active (between Run and
-// Stop).
-func (f *Forwarder) Running() bool { return f.running.Load() }
-
-// Run spawns one forwarding goroutine per port group, each looping batched
-// Forward ticks over its own ports until ctx is canceled or Stop is
-// called. Egress draining remains the caller's: exactly one goroutine per
-// port may call Transmit/TransmitTo concurrently with a Run. Time comes
-// from the wall clock anchored at the last virtual tick, or from SetNow
-// under WithManualClock. Run returns an error if the forwarder is already
-// running; call Stop (even after ctx cancellation) before using the
-// single-driver entry points again.
-func (f *Forwarder) Run(ctx context.Context) error {
-	f.runMu.Lock()
-	defer f.runMu.Unlock()
-	if f.running.Load() {
-		return fmt.Errorf("datapath: already running")
-	}
-	f.stopCh = make(chan struct{})
-	f.stopDone = make(chan struct{})
-	f.stopping = false
-	f.running.Store(true)
-	base := f.clockNanos.Load()
-	start := time.Now()
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
-	}
-	for g := 0; g < f.groups; g++ {
-		f.runWG.Add(1)
-		go f.runGroup(g, base, start, done)
-	}
-	return nil
-}
-
-// Stop signals the group goroutines and waits for them to exit. It is
-// idempotent, safe from multiple goroutines (every caller blocks until the
-// goroutines are gone), and required even when ctx cancellation already
-// stopped the goroutines: only Stop returns the forwarder to single-driver
-// mode. The wait happens outside runMu — only the first stopper joins the
-// WaitGroup; later (and concurrent) stoppers block on the done channel, so
-// the lock is never held across the join.
-func (f *Forwarder) Stop() {
-	f.runMu.Lock()
-	if !f.running.Load() {
-		f.runMu.Unlock()
-		return
-	}
-	first := !f.stopping
-	if first {
-		f.stopping = true
-		close(f.stopCh)
-	}
-	done := f.stopDone
-	f.runMu.Unlock()
-	if first {
-		f.runWG.Wait()
-		f.running.Store(false)
-		close(done)
-	}
-	<-done
-}
-
-// runGroup is one port group's forwarding goroutine: batched sweeps over
-// the group's ingress rings, yielding while hot and sleeping briefly once
-// idle so an empty group does not pin a core.
-func (f *Forwarder) runGroup(g int, base int64, start time.Time, done <-chan struct{}) {
-	defer f.runWG.Done()
-	idle := 0
-	for {
-		select {
-		case <-f.stopCh:
-			return
-		case <-done:
-			return
-		default:
-		}
-		now := f.clockNanos.Load()
-		if !f.manualClock {
-			if wall := base + int64(time.Since(start)); wall > now {
-				now = wall
-			}
-		}
-		if f.sweepGroup(g, now) > 0 {
-			idle = 0
-			continue
-		}
-		idle++
-		if idle >= idleSpinSweeps {
-			time.Sleep(idleSleep)
-		} else {
-			runtime.Gosched()
-		}
-	}
 }
 
 // forwardPort drains up to burst cells from one ingress ring. Per cell:
 // verify the header (table-driven HEC), look the VCID up in the sharded
 // table under a read lock, fold any pending rate retarget into the shaper,
 // tick the bucket to nowNanos and take one cell's payload worth of tokens;
-// a conforming cell is copied to the egress MPSC ring (safe from any
-// group), a non-conforming one is policed, a full egress ring counts an
-// overflow. Every cell leaves the ingress ring exactly once, into exactly
-// one counter. Only the goroutine owning p's group may call this.
+// a conforming cell is copied to the egress ring, a non-conforming one is
+// policed, a full egress ring counts an overflow. Every cell leaves the
+// ingress ring exactly once, into exactly one counter.
 //
 //rcbr:zeroalloc
 func (f *Forwarder) forwardPort(p *Port, now int64) int {
@@ -811,10 +550,10 @@ func (f *Forwarder) forwardPort(p *Port, now int64) int {
 }
 
 // Transmit drains up to max cells from a port's egress ring, the port's
-// wire-send path. One consumer goroutine per port (the MPSC contract);
+// wire-send path. One consumer goroutine per port (the SPSC contract);
 // different ports may be drained by different goroutines, concurrently
-// with each other and with a running forwarder (the per-VC queued
-// accounting is atomic under the shard read lock).
+// with each other and with Forward (the per-VC queued accounting is atomic
+// under the shard read lock).
 //
 //rcbr:zeroalloc
 func (f *Forwarder) Transmit(p *Port, max int) int {

@@ -45,7 +45,7 @@ func benchSignalThroughput(b *testing.B, workers int, serialize bool) {
 
 	proxy := newShapingProxy(b, srv.Addr().String(), nil,
 		func(int) time.Duration { return wireDelay })
-	cl, err := Dial(proxy.Addr(), WithTimeout(2*time.Second), WithRetries(3))
+	cl, err := DialContext(ctx, proxy.Addr(), WithTimeout(2*time.Second), WithRetries(3))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -36,7 +36,7 @@ func TestConcurrentRequestsNoCrossTalk(t *testing.T) {
 	// exercise the retry path concurrently.
 	proxy := newLossyProxy(t, srv.Addr().String(), func(i int) bool { return i%5 == 4 })
 	reg := metrics.NewRegistry()
-	cl, err := Dial(proxy.Addr(),
+	cl, err := DialContext(ctx, proxy.Addr(),
 		WithTimeout(150*time.Millisecond), WithRetries(8), WithClientMetrics(reg))
 	if err != nil {
 		t.Fatal(err)

@@ -1,8 +1,10 @@
 package netproto
 
 import (
+	"errors"
 	"testing"
 
+	"rcbr/internal/cell"
 	"rcbr/internal/switchfab"
 )
 
@@ -53,6 +55,44 @@ func FuzzParseFrame(f *testing.F) {
 		}
 		if len(fr.Payload) > len(data) {
 			t.Fatal("payload longer than input")
+		}
+	})
+}
+
+// FuzzDecodeRMBatch feeds arbitrary batch payloads to the decoder: it must
+// never panic, an accepted payload must yield exactly the item count its
+// first byte declares, and every decoded rate must pass the fabric's rate
+// validity check (a switch with no VCs answers ErrNoVC, never
+// ErrInvalidRate).
+func FuzzDecodeRMBatch(f *testing.F) {
+	items := []switchfab.RMItem{
+		{VPI: 0, VCI: 1, M: cell.RM{ER: 374e3, Seq: 7}},
+		{VPI: 3, VCI: 0xFFFF, M: cell.RM{Resync: true, Decrease: true, ER: 0, Seq: 1}},
+	}
+	if frame, err := AppendRMBatch(nil, 1, items); err == nil {
+		if fr, err := ParseFrame(frame); err == nil {
+			f.Add(fr.Payload)
+		}
+	}
+	f.Add([]byte{})
+	f.Add([]byte{0})
+	f.Add([]byte{1, 0, 0, 1, 0x20, 0xFF, 0xFF, 0, 0, 0, 1})
+	sw := switchfab.New(nil)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := DecodeRMBatch(data, nil)
+		if err != nil {
+			return
+		}
+		if len(got) != int(data[0]) {
+			t.Fatalf("decoded %d items, payload declares %d", len(got), data[0])
+		}
+		for i, it := range got {
+			m := it.M
+			m.Backward, m.Response = false, false
+			_, err := sw.HandleRM(cell.Header{VPI: it.VPI, VCI: it.VCI}, m)
+			if !errors.Is(err, switchfab.ErrNoVC) {
+				t.Fatalf("item %d rate %v: fabric answered %v, want ErrNoVC", i, it.M.ER, err)
+			}
 		}
 	})
 }

@@ -135,7 +135,7 @@ func TestRetriesSurvivePacketLoss(t *testing.T) {
 	// may vanish, forcing the retry path.
 	proxy := newLossyProxy(t, srv.Addr().String(), func(i int) bool { return i%2 == 0 })
 	reg := metrics.NewRegistry()
-	cl, err := Dial(proxy.Addr(),
+	cl, err := DialContext(ctx, proxy.Addr(),
 		WithTimeout(100*time.Millisecond), WithRetries(5), WithClientMetrics(reg))
 	if err != nil {
 		t.Fatal(err)
@@ -211,7 +211,7 @@ func TestDeltaNotAppliedTwiceUnderLoss(t *testing.T) {
 		}
 		return false
 	})
-	cl, err := Dial(proxy.Addr(), WithTimeout(100*time.Millisecond), WithRetries(5))
+	cl, err := DialContext(ctx, proxy.Addr(), WithTimeout(100*time.Millisecond), WithRetries(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestDelayedDeltaNotAppliedAfterResync(t *testing.T) {
 		}
 		return 0
 	})
-	cl, err := Dial(proxy.Addr(), WithTimeout(100*time.Millisecond), WithRetries(5))
+	cl, err := DialContext(ctx, proxy.Addr(), WithTimeout(100*time.Millisecond), WithRetries(5))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -182,7 +182,7 @@ func TestServeShedsLoadWhenQueueFull(t *testing.T) {
 			burst, s.Counters)
 	}
 	// The server is still alive and serving.
-	cl, err := Dial(srv.Addr().String(), WithTimeout(500*time.Millisecond), WithRetries(5))
+	cl, err := DialContext(ctx, srv.Addr().String(), WithTimeout(500*time.Millisecond), WithRetries(5))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,8 +74,11 @@ func ReadBinary(r io.Reader) (*Trace, error) {
 	if count > maxFrames {
 		return nil, fmt.Errorf("trace: frame count %d exceeds limit", count)
 	}
-	frames := make([]int64, count)
-	for i := range frames {
+	// Grow with the frames actually read: the header's count is untrusted
+	// input, and sizing the slice from it lets a 20-byte file demand tens
+	// of gigabytes.
+	frames := make([]int64, 0, min(count, 1<<16))
+	for i := uint64(0); i < count; i++ {
 		v, err := binary.ReadUvarint(br)
 		if err != nil {
 			return nil, fmt.Errorf("trace: reading frame %d: %w", i, err)
@@ -83,7 +86,7 @@ func ReadBinary(r io.Reader) (*Trace, error) {
 		if v > 1<<62 {
 			return nil, fmt.Errorf("trace: frame %d size overflows", i)
 		}
-		frames[i] = int64(v)
+		frames = append(frames, int64(v))
 	}
 	return New(frames, fps), nil
 }

@@ -20,9 +20,6 @@
 // segment rather than one per slot. All per-slot scratch (frontiers, the
 // merged global frontier, merge cursors) lives in a pooled arena reused
 // across Optimize calls, so steady-state slots allocate no frontier entries.
-// With Options.Parallelism > 1 the per-slot advance runs on a bounded worker
-// pool, one destination rate per task (see DESIGN.md §10); the schedule is
-// identical to the serial one.
 package trellis
 
 import (
@@ -92,13 +89,6 @@ type Options struct {
 	// FinalSlackBits is the terminal occupancy allowance under
 	// RequireDrained.
 	FinalSlackBits float64
-	// Parallelism, when > 1, advances up to that many destination rates
-	// concurrently within each slot (capped at len(Levels)). Each rate's
-	// new frontier depends only on the previous slot's per-rate frontiers
-	// and the merged global frontier, both frozen during the advance, so
-	// the parallel schedule is bit-identical to the serial one: same cost,
-	// same renegotiation instants. 0 or 1 runs fully serial.
-	Parallelism int
 }
 
 // Stats reports the work done by the optimizer.
@@ -148,7 +138,7 @@ type optimizer struct {
 	ws            []float64 // truncateFrontiers scratch
 	drain         []float64 // bits per slot at each level
 	slotCost      []float64 // beta cost of one slot at each level
-	nodes         []int64   // per-rate NodesExpanded counters
+	nodes         int64     // NodesExpanded counter
 }
 
 var optPool = sync.Pool{New: func() any { return new(optimizer) }}
@@ -163,15 +153,11 @@ func getOptimizer(k int) *optimizer {
 		o.heap = make([]int32, k)
 		o.drain = make([]float64, k)
 		o.slotCost = make([]float64, k)
-		o.nodes = make([]int64, k)
 	}
 	o.cursor = o.cursor[:k]
 	o.drain = o.drain[:k]
 	o.slotCost = o.slotCost[:k]
-	o.nodes = o.nodes[:k]
-	for i := range o.nodes {
-		o.nodes[i] = 0
-	}
+	o.nodes = 0
 	return o
 }
 
@@ -214,31 +200,13 @@ func Optimize(tr *trace.Trace, opt Options) (*core.Schedule, Stats, error) {
 		return nil, st, err
 	}
 
-	run := &slotRun{o: o, opt: &opt}
-	workers := opt.Parallelism
-	if workers > K {
-		workers = K
-	}
-	if workers > 1 {
-		run.startWorkers(workers)
-		defer run.stopWorkers()
-	}
-
+	var global []entry
 	for t := 0; t < tr.Len(); t++ {
-		run.t = int32(t)
-		run.a = float64(tr.FrameBits[t])
-		run.bcap = caps[t]
 		if t > 0 {
-			run.global = o.mergeGlobal(opt.Pruning)
-		} else {
-			run.global = nil
+			global = o.mergeGlobal(opt.Pruning)
 		}
-		if workers > 1 {
-			run.dispatch(K)
-		} else {
-			for k := 0; k < K; k++ {
-				run.advanceRate(k)
-			}
+		for k := 0; k < K; k++ {
+			o.advanceRate(&opt, k, int32(t), float64(tr.FrameBits[t]), caps[t], global)
 		}
 		o.fronts, o.spare = o.spare, o.fronts
 		var total int
@@ -260,9 +228,7 @@ func Optimize(tr *trace.Trace, opt Options) (*core.Schedule, Stats, error) {
 		}
 		o.materialize(int32(t))
 	}
-	for _, n := range o.nodes {
-		st.NodesExpanded += n
-	}
+	st.NodesExpanded = o.nodes
 
 	best, ok := bestEntry(o.fronts, opt)
 	if !ok {
@@ -276,66 +242,24 @@ func Optimize(tr *trace.Trace, opt Options) (*core.Schedule, Stats, error) {
 	return buildSchedule(best.ev, tr.Len(), slotSec, opt.Levels), st, nil
 }
 
-// slotRun carries the per-slot state shared between the coordinating
-// goroutine and the advance workers. The coordinator writes t, a, bcap and
-// global before dispatching; workers only read them and only write their own
-// rate's spare frontier and node counter, so the channel send / WaitGroup
-// barrier is the only synchronization needed.
-type slotRun struct {
-	o      *optimizer
-	opt    *Options
-	t      int32
-	a      float64
-	bcap   float64
-	global []entry
-	tasks  chan int
-	wg     sync.WaitGroup
-}
-
-// startWorkers launches n persistent advance workers for the whole call.
-func (r *slotRun) startWorkers(n int) {
-	r.tasks = make(chan int, len(r.o.fronts))
-	for i := 0; i < n; i++ {
-		go func() {
-			for k := range r.tasks {
-				r.advanceRate(k)
-				r.wg.Done()
-			}
-		}()
-	}
-}
-
-// dispatch fans the K destination rates out to the workers and waits for
-// the slot's merge barrier.
-func (r *slotRun) dispatch(k int) {
-	r.wg.Add(k)
-	for i := 0; i < k; i++ {
-		r.tasks <- i
-	}
-	r.wg.Wait()
-}
-
-func (r *slotRun) stopWorkers() { close(r.tasks) }
-
-// advanceRate computes destination rate k's next frontier into the spare
-// buffer. Safe to run concurrently for distinct k: it reads the frozen
-// previous frontiers and writes only spare[k] and nodes[k].
-func (r *slotRun) advanceRate(k int) {
-	o := r.o
+// advanceRate computes destination rate k's next frontier at slot t (a
+// arrival bits, occupancy cap bcap) into the spare buffer, from the previous
+// slot's frontiers and their merged global frontier.
+func (o *optimizer) advanceRate(opt *Options, k int, t int32, a, bcap float64, global []entry) {
 	out := o.spare[k][:0]
-	if r.t == 0 {
-		b := clampQuantize(r.a-o.drain[k], r.opt.BufferGridBits)
-		if b <= r.bcap {
+	if t == 0 {
+		b := clampQuantize(a-o.drain[k], opt.BufferGridBits)
+		if b <= bcap {
 			out = append(out, entry{
 				b: b, w: o.slotCost[k], rate: int32(k),
 				ev: &event{slot: 0, rate: int32(k)},
 			})
-			o.nodes[k]++
+			o.nodes++
 		}
 	} else {
-		out = advance(out, o.fronts[k], r.global, r.a,
-			o.drain[k], o.slotCost[k], r.opt.Cost.Alpha, r.bcap,
-			r.opt.BufferGridBits, int32(k), r.opt.Pruning, &o.nodes[k])
+		out = advance(out, o.fronts[k], global, a,
+			o.drain[k], o.slotCost[k], opt.Cost.Alpha, bcap,
+			opt.BufferGridBits, int32(k), opt.Pruning, &o.nodes)
 	}
 	o.spare[k] = out
 }
@@ -390,9 +314,6 @@ func validateOptions(tr *trace.Trace, opt Options) error {
 	}
 	if opt.FinalSlackBits < 0 {
 		return fmt.Errorf("trellis: negative final slack")
-	}
-	if opt.Parallelism < 0 {
-		return fmt.Errorf("trellis: negative parallelism")
 	}
 	return nil
 }

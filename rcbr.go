@@ -145,12 +145,6 @@ type (
 	MetricsSnapshot = metrics.Snapshot
 	// EventLog retains the most recent per-VC lifecycle events.
 	EventLog = metrics.EventLog
-	// EventRing is the EventLog's former name.
-	//
-	// Deprecated: use EventLog. "Ring" names are reserved for the lock-free
-	// SPSC rings of the cell data path (enforced by rcbrlint's never-ring
-	// rule); the event log is a mutex-guarded circular log.
-	EventRing = metrics.EventLog
 	// Event is one per-VC lifecycle event.
 	Event = metrics.Event
 
@@ -263,11 +257,6 @@ func NewMetricsRegistry() *MetricsRegistry { return metrics.NewRegistry() }
 // NewEventLog returns a log retaining the last n per-VC lifecycle events.
 func NewEventLog(n int) *EventLog { return metrics.NewEventLog(n) }
 
-// NewEventRing returns a log retaining the last n per-VC lifecycle events.
-//
-// Deprecated: use NewEventLog.
-func NewEventRing(n int) *EventLog { return metrics.NewEventLog(n) }
-
 // WithAdmitter installs a call-admission policy on a Switch.
 func WithAdmitter(a Admitter) SwitchOption { return switchfab.WithAdmitter(a) }
 
@@ -334,18 +323,6 @@ func WithSignalMetrics(reg *MetricsRegistry) SignalClientOption {
 // coalescing (the default).
 func WithSignalBatchWindow(d time.Duration) SignalClientOption {
 	return netproto.WithBatchWindow(d)
-}
-
-// DialSwitch connects a signaling client to an RCBR switch daemon with a
-// fixed per-attempt timeout and retry budget.
-//
-// Deprecated: use DialSwitchContext with WithSignalTimeout and
-// WithSignalRetries; the positional form cannot honor a caller's context
-// during socket setup and cannot grow new options.
-//
-//rcbrlint:ignore ctxfirst kept for source compatibility; DialSwitchContext is the context-first form
-func DialSwitch(addr string, timeout time.Duration, retries int) (*SignalClient, error) {
-	return netproto.Dial(addr, netproto.WithTimeout(timeout), netproto.WithRetries(retries))
 }
 
 // DialSwitchContext connects a signaling client to an RCBR switch daemon,
