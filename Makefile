@@ -69,6 +69,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseFrame$$' -fuzztime $(FUZZTIME) ./internal/netproto/
 	$(GO) test -run '^$$' -fuzz '^FuzzServerHandle$$' -fuzztime $(FUZZTIME) ./internal/netproto/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRMBatch$$' -fuzztime $(FUZZTIME) ./internal/netproto/
+	$(GO) test -run '^$$' -fuzz '^FuzzRateFunction$$' -fuzztime $(FUZZTIME) ./internal/ld/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime $(FUZZTIME) ./internal/trace/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadText$$' -fuzztime $(FUZZTIME) ./internal/trace/
 	$(GO) test -run '^$$' -fuzz '^FuzzIgnoreDirective$$' -fuzztime $(FUZZTIME) ./internal/analysis/

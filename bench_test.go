@@ -693,7 +693,10 @@ func BenchmarkSetupChurnMemoryAdmit(b *testing.B) {
 
 // BenchmarkAdmitDecisionMemoryLive isolates the admit decision itself with
 // 10,000 calls of history in the pool — the O(levels) incremental estimate
-// that replaces Memory's O(calls) scan.
+// that replaces Memory's O(calls) scan. Its 1e12 b/s link gives each call
+// 1e8 b/s, above the 4e6 peak level, so the Chernoff test short-cuts to
+// +Inf without solving; BenchmarkAdmitDecisionMemoryLiveInterior times the
+// solve.
 func BenchmarkAdmitDecisionMemoryLive(b *testing.B) {
 	levels := []float64{64e3, 512e3, 1e6, 2e6, 4e6}
 	ctl, err := admission.NewLiveMemory(levels, 1e12, 1e-3)
@@ -704,6 +707,77 @@ func BenchmarkAdmitDecisionMemoryLive(b *testing.B) {
 		ctl.OnAdmit(i, float64(i)*0.01, levels[i%len(levels)])
 	}
 	now := 10_000 * 0.01
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ctl.Admit(now+float64(i)*1e-6, 64e3)
+	}
+}
+
+// interiorLevels, interiorPortCap and interiorCalls model one of the
+// setup-churn workload's ports: 1.5 Gb/s carrying about 780 calls (200k
+// VCs over 256 ports), nine in ten of them voice at 64 kb/s and the rest
+// video spread over the four video levels.
+var interiorLevels = []float64{64e3, 512e3, 1e6, 2e6, 4e6}
+
+const (
+	interiorPortCap = 1.5e9
+	interiorCalls   = 780
+)
+
+// interiorLevel is the index of the level call i holds in the interior
+// pool.
+func interiorLevel(i int) int {
+	if i%10 != 0 {
+		return 0
+	}
+	return 1 + i/10%4
+}
+
+// interiorLiveMemory builds the interior pool, one admission every 10 ms,
+// and returns it with the time of the last admission.
+func interiorLiveMemory(tb testing.TB) (*admission.LiveMemory, float64) {
+	ctl, err := admission.NewLiveMemory(interiorLevels, interiorPortCap, 1e-3)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < interiorCalls; i++ {
+		ctl.OnAdmit(i, float64(i)*0.01, interiorLevels[interiorLevel(i)])
+	}
+	return ctl, interiorCalls * 0.01
+}
+
+// TestAdmitDecisionInteriorSolves guards the interior benchmark: the next
+// call's capacity share C/(n+1) must lie strictly between the pooled mean
+// and the highest level with weight, or the Chernoff test returns early
+// and the benchmark stops timing the solve.
+func TestAdmitDecisionInteriorSolves(t *testing.T) {
+	_, now := interiorLiveMemory(t)
+	w := make([]float64, len(interiorLevels))
+	var total float64
+	for i := 0; i < interiorCalls; i++ {
+		dwell := now - float64(i)*0.01
+		w[interiorLevel(i)] += dwell
+		total += dwell
+	}
+	var mean, max float64
+	for l, x := range interiorLevels {
+		mean += w[l] / total * x
+		if w[l] > 0 {
+			max = x
+		}
+	}
+	perCall := interiorPortCap / (interiorCalls + 1)
+	if !(mean < perCall && perCall < max) {
+		t.Fatalf("per-call capacity %g outside (pooled mean %g, top level %g)", perCall, mean, max)
+	}
+}
+
+// BenchmarkAdmitDecisionMemoryLiveInterior times the admit decision on a
+// setup-churn-like port, where the per-call capacity falls inside the
+// pooled distribution's support and the rate function is solved.
+func BenchmarkAdmitDecisionMemoryLiveInterior(b *testing.B) {
+	ctl, now := interiorLiveMemory(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -189,6 +189,13 @@ func TestCompareZeroAllocContract(t *testing.T) {
 		t.Errorf("report missing ALLOCS verdict:\n%s", buf.String())
 	}
 
+	// The admit decision is under the contract too, baseline or not.
+	admitPath := writeBaseline(t, "admit.json",
+		Result{Name: "BenchmarkAdmitDecisionMemoryLiveInterior", NsPerOp: 5000, AllocsPerOp: 1})
+	if cmp, err = compareBaselines(&strings.Builder{}, oldPath, admitPath, 15); err != nil || !cmp.allocBroken {
+		t.Errorf("1 alloc/op on the admit decision not flagged: cmp=%+v err=%v", cmp, err)
+	}
+
 	// Clean hot paths pass; non-contract benchmarks may allocate freely.
 	cleanPath := writeBaseline(t, "clean.json",
 		Result{Name: "BenchmarkDataPathForward4Port1kVC", NsPerOp: 100},
@@ -201,10 +208,13 @@ func TestCompareZeroAllocContract(t *testing.T) {
 
 func TestZeroAllocContractNames(t *testing.T) {
 	for name, want := range map[string]bool{
-		"BenchmarkDataPathForward8Port100kVC": true,
-		"BenchmarkFabricCellAppend":           true,
-		"BenchmarkFabricRMSharded64k":         false,
-		"BenchmarkFig2OPT":                    false,
+		"BenchmarkDataPathForward8Port100kVC":      true,
+		"BenchmarkFabricCellAppend":                true,
+		"BenchmarkAdmitDecisionMemoryLive":         true,
+		"BenchmarkAdmitDecisionMemoryLiveInterior": true,
+		"BenchmarkSetupChurnMemoryAdmit":           false,
+		"BenchmarkFabricRMSharded64k":              false,
+		"BenchmarkFig2OPT":                         false,
 	} {
 		if got := zeroAllocContract(name); got != want {
 			t.Errorf("zeroAllocContract(%q) = %v, want %v", name, got, want)

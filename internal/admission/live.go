@@ -121,6 +121,8 @@ func (m *LiveMemory) dist(now float64) (ld.Dist, bool) {
 }
 
 // Admit implements Controller.
+//
+//rcbr:zeroalloc
 func (m *LiveMemory) Admit(now, _ float64) bool {
 	if len(m.calls) == 0 {
 		return true

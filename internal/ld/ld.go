@@ -86,14 +86,12 @@ func (d Dist) LogMGF(s float64) float64 {
 	return m + math.Log(sum)
 }
 
-// mgfDeriv returns Lambda'(s) = E[X e^{sX}]/E[e^{sX}], the tilted mean.
-func (d Dist) mgfDeriv(s float64) float64 {
-	m := math.Inf(-1)
-	for i, p := range d.P {
-		if p > 0 && s*d.X[i] > m {
-			m = s * d.X[i]
-		}
-	}
+// mgfDeriv returns Lambda'(s) = E[X e^{sX}]/E[e^{sX}], the tilted mean,
+// for s >= 0. max is d.Max(): scaling by s >= 0 is monotone, so s*max is
+// exactly the largest exponent over the support and is factored out for
+// stability without a second pass.
+func (d Dist) mgfDeriv(s, max float64) float64 {
+	m := s * max
 	var num, den float64
 	for i, p := range d.P {
 		if p > 0 {
@@ -112,6 +110,8 @@ func (d Dist) mgfDeriv(s float64) float64 {
 // the exponent in the Chernoff estimate P(sum X_i >= N a) ~ e^{-N I(a)}.
 // For a below the mean it is 0 (the event is not rare); for a above the
 // maximum support it is +Inf; at the maximum it is -log P(X = max).
+//
+//rcbr:zeroalloc
 func (d Dist) RateFunction(a float64) float64 {
 	mean := d.Mean()
 	if a <= mean {
@@ -137,17 +137,27 @@ func (d Dist) RateFunction(a float64) float64 {
 	if max > 0 {
 		hi = 1 / max
 	}
-	for iter := 0; d.mgfDeriv(hi) < a; iter++ {
+	for iter := 0; d.mgfDeriv(hi, max) < a; iter++ {
 		hi *= 2
 		if iter > 200 {
 			return math.Inf(1)
 		}
 	}
+	// A float64 bracket stops moving long before 200 halvings (about 53 for
+	// an a drawn uniformly in (mean, max)): once a step leaves (lo, hi)
+	// unchanged, every later step would repeat it, so stopping there
+	// returns the same bits as running all 200.
 	for iter := 0; iter < 200; iter++ {
 		mid := (lo + hi) / 2
-		if d.mgfDeriv(mid) < a {
+		if d.mgfDeriv(mid, max) < a {
+			if mid == lo {
+				break
+			}
 			lo = mid
 		} else {
+			if mid == hi {
+				break
+			}
 			hi = mid
 		}
 	}
@@ -157,6 +167,8 @@ func (d Dist) RateFunction(a float64) float64 {
 
 // ChernoffTail returns the Chernoff estimate of P(mean of n iid copies >= a):
 // exp(-n I(a)), the workhorse of eqs. (10)-(12).
+//
+//rcbr:zeroalloc
 func (d Dist) ChernoffTail(a float64, n int) float64 {
 	return math.Exp(-float64(n) * d.RateFunction(a))
 }
@@ -177,11 +189,18 @@ func (d Dist) CapacityForTail(n int, target float64) float64 {
 		// (possible when P(max) is large); peak is the best we can do.
 		return hi
 	}
+	// Stop at the bracket's fixed point, as in RateFunction.
 	for iter := 0; iter < 100; iter++ {
 		mid := (lo + hi) / 2
 		if d.ChernoffTail(mid, n) > target {
+			if mid == lo {
+				break
+			}
 			lo = mid
 		} else {
+			if mid == hi {
+				break
+			}
 			hi = mid
 		}
 	}

@@ -75,6 +75,13 @@ func TestRMBatchCodecLimits(t *testing.T) {
 	if _, err := DecodeRMBatch(append(append([]byte{}, f.Payload...), 0), nil); !errors.Is(err, ErrFrame) {
 		t.Errorf("trailing byte: %v", err)
 	}
+	// So must ER codes that would not re-encode to the same bytes.
+	for _, er := range []uint16{0x1234, 0x0001, 0xA200, 0x8200} {
+		p := []byte{1, 0, 0, 1, 0, byte(er >> 8), byte(er), 0, 0, 0, 1}
+		if _, err := DecodeRMBatch(p, nil); !errors.Is(err, ErrFrame) {
+			t.Errorf("ER code %#04x: %v", er, err)
+		}
+	}
 }
 
 func TestParseFrameRejectsBatchAtV2(t *testing.T) {

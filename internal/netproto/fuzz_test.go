@@ -1,6 +1,7 @@
 package netproto
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -61,9 +62,9 @@ func FuzzParseFrame(f *testing.F) {
 
 // FuzzDecodeRMBatch feeds arbitrary batch payloads to the decoder: it must
 // never panic, an accepted payload must yield exactly the item count its
-// first byte declares, and every decoded rate must pass the fabric's rate
-// validity check (a switch with no VCs answers ErrNoVC, never
-// ErrInvalidRate).
+// first byte declares and re-encode to the same bytes, and every decoded
+// rate must pass the fabric's rate validity check (a switch with no VCs
+// answers ErrNoVC, never ErrInvalidRate).
 func FuzzDecodeRMBatch(f *testing.F) {
 	items := []switchfab.RMItem{
 		{VPI: 0, VCI: 1, M: cell.RM{ER: 374e3, Seq: 7}},
@@ -77,6 +78,10 @@ func FuzzDecodeRMBatch(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0})
 	f.Add([]byte{1, 0, 0, 1, 0x20, 0xFF, 0xFF, 0, 0, 0, 1})
+	// ER codes no rate encodes to: bit 15 clear with other bits set, and
+	// the reserved mantissa bit 9 set.
+	f.Add([]byte{1, 0, 0, 1, 0, 0x12, 0x34, 0, 0, 0, 1})
+	f.Add([]byte{1, 0, 0, 1, 0, 0xA2, 0x00, 0, 0, 0, 1})
 	sw := switchfab.New(nil)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := DecodeRMBatch(data, nil)
@@ -85,6 +90,13 @@ func FuzzDecodeRMBatch(f *testing.F) {
 		}
 		if len(got) != int(data[0]) {
 			t.Fatalf("decoded %d items, payload declares %d", len(got), data[0])
+		}
+		frame, err := AppendRMBatch(nil, 0, got)
+		if err != nil {
+			t.Fatalf("re-encoding accepted items: %v", err)
+		}
+		if fr, err := ParseFrame(frame); err != nil || !bytes.Equal(fr.Payload, data) {
+			t.Fatalf("payload %x re-encodes to %x (err %v)", data, fr.Payload, err)
 		}
 		for i, it := range got {
 			m := it.M

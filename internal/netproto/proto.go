@@ -391,9 +391,10 @@ func AppendRMBatchReply(dst []byte, reqID uint32, items []switchfab.RMItem) ([]b
 
 // DecodeRMBatch parses a batch payload (request or reply), appending the
 // entries to items — pass a reused slice's [:0] for an allocation-free
-// steady state. The codec is strict: undefined flag bits and trailing bytes
-// are rejected, so every accepted payload re-encodes to identical wire
-// bytes.
+// steady state. The codec is strict: undefined flag bits, trailing bytes and
+// ER codes that no rate encodes to (other bits set with the nonzero bit 15
+// clear, or the reserved mantissa bit 9 set) are rejected, so every
+// accepted payload re-encodes to identical wire bytes.
 //
 //rcbr:zeroalloc
 func DecodeRMBatch(p []byte, items []switchfab.RMItem) ([]switchfab.RMItem, error) {
@@ -413,6 +414,10 @@ func DecodeRMBatch(p []byte, items []switchfab.RMItem) ([]switchfab.RMItem, erro
 		if flags&^(batchFlagBackward|batchFlagResponse|batchFlagResync|batchFlagDeny|batchFlagDecrease) != 0 {
 			return items, fmt.Errorf("%w: undefined batch flag bits %#x", ErrFrame, flags)
 		}
+		er := binary.BigEndian.Uint16(e[4:6])
+		if (er&(1<<15) == 0 && er != 0) || er&(1<<9) != 0 {
+			return items, fmt.Errorf("%w: non-canonical ER code %#04x", ErrFrame, er)
+		}
 		items = append(items, switchfab.RMItem{
 			VPI: e[0],
 			VCI: binary.BigEndian.Uint16(e[1:3]),
@@ -422,7 +427,7 @@ func DecodeRMBatch(p []byte, items []switchfab.RMItem) ([]switchfab.RMItem, erro
 				Resync:   flags&batchFlagResync != 0,
 				Deny:     flags&batchFlagDeny != 0,
 				Decrease: flags&batchFlagDecrease != 0,
-				ER:       cell.DecodeRate16(binary.BigEndian.Uint16(e[4:6])),
+				ER:       cell.DecodeRate16(er),
 				Seq:      binary.BigEndian.Uint32(e[6:10]),
 			},
 		})
