@@ -77,6 +77,13 @@ fuzz:
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkSignalThroughput -benchtime=1x ./internal/netproto/
 
+# bench-harness vets and tests the perfbench module. It is a module of its
+# own, so the root `go test ./...` never builds it, yet it calls the
+# switchfab and netproto APIs directly.
+.PHONY: bench-harness
+bench-harness:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # bench-json records the tier-1 benchmark baseline (ns/op, B/op, allocs/op)
 # into BENCH_trellis.json. CI runs it at -benchtime=1x as a smoke step and
 # uploads the file as an artifact; for a real baseline use the default

@@ -577,8 +577,7 @@ func BenchmarkFabricRMBatch(b *testing.B) {
 	items := make([]switchfab.RMItem, k)
 	for i := range items {
 		id := switchfab.MakeVCID(0, uint16(i*37%vcs))
-		items[i] = switchfab.RMItem{VPI: id.VPI(), VCI: id.VCI(),
-			M: cell.RM{Resync: true, ER: 100e3}}
+		items[i] = switchfab.RMItem{ID: id, M: cell.RM{Resync: true, ER: 100e3}}
 	}
 	out := make([]switchfab.RMItem, 0, k)
 	b.ReportAllocs()
@@ -596,7 +595,7 @@ func BenchmarkSwitchHandleRM(b *testing.B) {
 	if err := sw.AddPort(1, 155e6); err != nil {
 		b.Fatal(err)
 	}
-	if err := sw.Setup(1, 1, 374e3); err != nil {
+	if err := sw.SetupID(1, 1, 374e3); err != nil {
 		b.Fatal(err)
 	}
 	h := cell.Header{VCI: 1}

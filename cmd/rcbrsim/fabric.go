@@ -124,7 +124,7 @@ func fabricPoint(vcs, shards, ports, workers, batch int, dur time.Duration) (int
 				for j := range items {
 					idx := (i + j*workers) % vcs
 					id := switchfab.MakeVCID(uint8(idx>>16), uint16(idx))
-					items[j] = switchfab.RMItem{VPI: id.VPI(), VCI: id.VCI(), M: m}
+					items[j] = switchfab.RMItem{ID: id, M: m}
 				}
 				out = s.HandleRMBatch(items, out[:0])
 				ops.Add(int64(len(items)))

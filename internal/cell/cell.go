@@ -148,3 +148,13 @@ func DecodeRate16(v uint16) float64 {
 	m := float64(v & 0x1FF)
 	return math.Exp2(e) * (1 + m/512)
 }
+
+// CanonicalRate16 reports whether v is a code EncodeRate16 produces: zero,
+// or the nonzero bit 15 set with the reserved mantissa bit 9 clear. Any
+// other code decodes to a rate that re-encodes to different bits, so a
+// strict parser rejects it.
+//
+//rcbr:zeroalloc
+func CanonicalRate16(v uint16) bool {
+	return v == 0 || v&(1<<15) != 0 && v&(1<<9) == 0
+}

@@ -1,6 +1,7 @@
 package cell
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 	"testing"
@@ -205,6 +206,27 @@ func TestParseRMErrors(t *testing.T) {
 	if _, err := ParseRM(p); !errors.Is(err, ErrProtocol) {
 		t.Errorf("protocol: %v", err)
 	}
+	// ER codes no rate encodes to: bit 15 clear with other bits set (would
+	// decode to 0), and the reserved mantissa bit 9 set (ignored by decode).
+	for _, er := range []uint16{0x1234, 0x8200} {
+		p := payloadWithER(t, er)
+		if _, err := ParseRM(p[:]); !errors.Is(err, ErrProtocol) {
+			t.Errorf("ER %#04x: %v, want ErrProtocol", er, err)
+		}
+	}
+}
+
+// payloadWithER returns a valid-CRC RM payload whose ER field holds the raw
+// code er, canonical or not.
+func payloadWithER(t testing.TB, er uint16) [PayloadSize]byte {
+	t.Helper()
+	p, err := cell().MarshalPayload()
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.BigEndian.PutUint16(p[2:4], er)
+	binary.BigEndian.PutUint16(p[46:48], crc10(p[:PayloadSize-2]))
+	return p
 }
 
 func TestFullCellRoundTrip(t *testing.T) {

@@ -18,6 +18,12 @@ func FuzzParse(f *testing.F) {
 	f.Add(make([]byte, Size))
 	f.Add([]byte{})
 	f.Add(good[:20])
+	for _, er := range []uint16{0x1234, 0x8200} { // non-canonical ER codes
+		c := good
+		p := payloadWithER(f, er)
+		copy(c[HeaderSize:], p[:])
+		f.Add(c[:])
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, m, err := Parse(data)
 		if err != nil {

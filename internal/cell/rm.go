@@ -84,8 +84,9 @@ func (m RM) MarshalPayload() ([PayloadSize]byte, error) {
 }
 
 // ParseRM decodes and verifies a 48-byte RM payload. Reserved bytes and
-// undefined flag bits must be zero: the codec is strict so that every
-// accepted payload re-marshals to identical wire bytes.
+// undefined flag bits must be zero and the ER code canonical
+// (CanonicalRate16): the codec is strict so that every accepted payload
+// re-marshals to identical wire bytes.
 //
 //rcbr:zeroalloc
 func ParseRM(p []byte) (RM, error) {
@@ -102,6 +103,10 @@ func ParseRM(p []byte) (RM, error) {
 	if p[1]&^(flagBackward|flagResponse|flagResync|flagDeny|flagDecrease) != 0 {
 		return RM{}, fmt.Errorf("%w: undefined flag bits %#x", ErrProtocol, p[1])
 	}
+	er := binary.BigEndian.Uint16(p[2:4])
+	if !CanonicalRate16(er) {
+		return RM{}, fmt.Errorf("%w: non-canonical ER code %#04x", ErrProtocol, er)
+	}
 	for i := 8; i < PayloadSize-2; i++ {
 		if p[i] != 0 {
 			return RM{}, fmt.Errorf("%w: nonzero reserved byte %d", ErrProtocol, i)
@@ -114,7 +119,7 @@ func ParseRM(p []byte) (RM, error) {
 		Resync:   f&flagResync != 0,
 		Deny:     f&flagDeny != 0,
 		Decrease: f&flagDecrease != 0,
-		ER:       DecodeRate16(binary.BigEndian.Uint16(p[2:4])),
+		ER:       DecodeRate16(er),
 		Seq:      binary.BigEndian.Uint32(p[4:8]),
 	}, nil
 }

@@ -141,6 +141,18 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
+// Start returns the start time of one latency observation, or the zero time
+// on a nil histogram so uninstrumented callers skip the clock read. Pair it
+// with ObserveSince: defer h.ObserveSince(h.Start()).
+//
+//rcbr:zeroalloc
+func (h *Histogram) Start() time.Time {
+	if h == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
 // ObserveSince records the elapsed seconds since start; a convenience for
 // latency histograms.
 func (h *Histogram) ObserveSince(start time.Time) {

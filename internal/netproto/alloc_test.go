@@ -50,7 +50,7 @@ func TestDecodeRMZeroAlloc(t *testing.T) {
 func TestRMBatchCodecZeroAlloc(t *testing.T) {
 	items := make([]switchfab.RMItem, MaxRMBatch)
 	for i := range items {
-		items[i] = switchfab.RMItem{VCI: uint16(i + 1), M: cell.RM{ER: 1e6, Seq: uint32(i + 1)}}
+		items[i] = switchfab.RMItem{ID: switchfab.VCID(i + 1), M: cell.RM{ER: 1e6, Seq: uint32(i + 1)}}
 	}
 	buf := make([]byte, 0, maxFrame)
 	decoded := make([]switchfab.RMItem, 0, MaxRMBatch)
@@ -78,7 +78,7 @@ func TestServerHandleRMZeroAlloc(t *testing.T) {
 	if err := sw.AddPort(1, 1e9); err != nil {
 		t.Fatal(err)
 	}
-	if err := sw.Setup(42, 1, 1e6); err != nil {
+	if err := sw.SetupID(42, 1, 1e6); err != nil {
 		t.Fatal(err)
 	}
 	// A resync to a fixed rate is idempotent, so the same request can be
@@ -107,11 +107,11 @@ func TestServerHandleRMBatchZeroAlloc(t *testing.T) {
 	}
 	items := make([]switchfab.RMItem, MaxRMBatch)
 	for i := range items {
-		vci := uint16(i + 1)
-		if err := sw.Setup(vci, 1, 1e6); err != nil {
+		id := switchfab.VCID(i + 1)
+		if err := sw.SetupID(id, 1, 1e6); err != nil {
 			t.Fatal(err)
 		}
-		items[i] = switchfab.RMItem{VCI: vci, M: cell.RM{Resync: true, ER: 2e6}}
+		items[i] = switchfab.RMItem{ID: id, M: cell.RM{Resync: true, ER: 2e6}}
 	}
 	pkt, err := AppendRMBatch(nil, 9, items)
 	if err != nil {

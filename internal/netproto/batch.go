@@ -8,7 +8,7 @@ import (
 	"rcbr/internal/switchfab"
 )
 
-// This file is the client half of batched RM signaling (framing v3). With
+// This file is the client half of batched RM signaling. With
 // WithBatchWindow(d), Renegotiate calls enqueue their sequenced delta here
 // instead of sending a datagram each; the window's entries are flushed as
 // one TypeRMBatch frame when d elapses, when MaxRMBatch entries accumulate,
@@ -19,15 +19,14 @@ import (
 // sequenced deltas, so the whole frame is retransmitted unchanged on
 // timeout and a replayed entry is dropped by the duplicate filter and
 // answered with the absolute rate. And any entry the batch path cannot
-// resolve — a missing reply entry, a batch-level error, a v2-only peer that
-// rejects version 3 outright — falls back to the per-VC resync path, which
+// resolve — a missing reply entry, a batch-level error, a peer that never
+// answers batch frames — falls back to the per-VC resync path, which
 // carries the absolute target rate and needs nothing from the batch
 // attempt. Batching therefore never changes outcomes, only datagram count.
 
 // batchEntry is one caller's renegotiation waiting in the window.
 type batchEntry struct {
-	vpi    uint8
-	vci    uint16
+	id     switchfab.VCID
 	m      cell.RM
 	target float64 // absolute rate, for the fallback path
 	done   chan batchOutcome
@@ -46,7 +45,7 @@ type batchOutcome struct {
 // the batch path cannot resolve this VC.
 func (c *Client) renegotiateBatched(ctx context.Context, vci uint16, target float64, m cell.RM) (float64, bool, error) {
 	done := make(chan batchOutcome, 1)
-	c.enqueueBatch(batchEntry{vci: vci, m: m, target: target, done: done})
+	c.enqueueBatch(batchEntry{id: switchfab.VCID(vci), m: m, target: target, done: done})
 	select {
 	case out := <-done:
 		if out.fallback {
@@ -64,7 +63,7 @@ func (c *Client) renegotiateBatched(ctx context.Context, vci uint16, target floa
 func (c *Client) enqueueBatch(e batchEntry) {
 	c.bmu.Lock()
 	for _, p := range c.bpend {
-		if p.vpi == e.vpi && p.vci == e.vci {
+		if p.id == e.id {
 			// The window already renegotiates this VC; flush it so each
 			// batch keeps distinct VCs and replies match unambiguously.
 			pend := c.takeBatchLocked()
@@ -119,7 +118,7 @@ func (c *Client) flushBatch(entries []batchEntry) {
 	c.ins.batchCells.Add(int64(len(entries)))
 	items := make([]switchfab.RMItem, len(entries))
 	for i, e := range entries {
-		items[i] = switchfab.RMItem{VPI: e.vpi, VCI: e.vci, M: e.m}
+		items[i] = switchfab.RMItem{ID: e.id, M: e.m}
 	}
 	id := c.newID()
 	bufp := pktPool.Get().(*[]byte)
@@ -129,7 +128,7 @@ func (c *Client) flushBatch(entries []batchEntry) {
 	})
 	if err != nil || f.Type != TypeRMBatchReply {
 		// Timeout, socket error, remote error, or a peer that does not
-		// speak version 3: every entry resolves individually.
+		// answer batch frames: every entry resolves individually.
 		c.deliverFallback(entries)
 		return
 	}
@@ -141,7 +140,7 @@ func (c *Client) flushBatch(entries []batchEntry) {
 	for _, e := range entries {
 		delivered := false
 		for _, r := range replies {
-			if r.VPI == e.vpi && r.VCI == e.vci {
+			if r.ID == e.id {
 				e.done <- batchOutcome{m: r.M}
 				delivered = true
 				break

@@ -14,10 +14,10 @@ import (
 
 func TestRMBatchCodecRoundTrip(t *testing.T) {
 	items := []switchfab.RMItem{
-		{VPI: 0, VCI: 1, M: cell.RM{ER: 1e6, Seq: 7}},
-		{VPI: 3, VCI: 2, M: cell.RM{Decrease: true, ER: 5e5, Seq: 8}},
-		{VPI: 0, VCI: 3, M: cell.RM{Resync: true, ER: 4e6, Seq: 9}},
-		{VPI: 255, VCI: 65535, M: cell.RM{Backward: true, Response: true, Deny: true, ER: 2e6, Seq: 10}},
+		{ID: 1, M: cell.RM{ER: 1e6, Seq: 7}},
+		{ID: switchfab.MakeVCID(3, 2), M: cell.RM{Decrease: true, ER: 5e5, Seq: 8}},
+		{ID: 3, M: cell.RM{Resync: true, ER: 4e6, Seq: 9}},
+		{ID: switchfab.MakeVCID(255, 65535), M: cell.RM{Backward: true, Response: true, Deny: true, ER: 2e6, Seq: 10}},
 	}
 	b, err := AppendRMBatch(nil, 42, items)
 	if err != nil {
@@ -27,7 +27,7 @@ func TestRMBatchCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Version != VersionBatch || f.Type != TypeRMBatch || f.ReqID != 42 {
+	if f.Type != TypeRMBatch || f.ReqID != 42 {
 		t.Fatalf("frame = %+v", f)
 	}
 	got, err := DecodeRMBatch(f.Payload, nil)
@@ -58,7 +58,7 @@ func TestRMBatchCodecLimits(t *testing.T) {
 	}
 	full := make([]switchfab.RMItem, MaxRMBatch)
 	for i := range full {
-		full[i] = switchfab.RMItem{VCI: uint16(i), M: cell.RM{ER: 1e6, Seq: uint32(i + 1)}}
+		full[i] = switchfab.RMItem{ID: switchfab.VCID(i), M: cell.RM{ER: 1e6, Seq: uint32(i + 1)}}
 	}
 	b, err := AppendRMBatch(nil, 1, full)
 	if err != nil {
@@ -84,17 +84,6 @@ func TestRMBatchCodecLimits(t *testing.T) {
 	}
 }
 
-func TestParseFrameRejectsBatchAtV2(t *testing.T) {
-	b, err := AppendRMBatch(nil, 9, []switchfab.RMItem{{VCI: 1, M: cell.RM{ER: 1, Seq: 1}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b[1] = Version // rewrite the version byte to 2
-	if _, err := ParseFrame(b); !errors.Is(err, ErrVersion) {
-		t.Errorf("batch frame at v2: %v", err)
-	}
-}
-
 // batchTestRig stands up a switch, server, and batching client over
 // loopback UDP.
 func batchTestRig(t *testing.T, reg *metrics.Registry, copts ...ClientOption) (*switchfab.Switch, *Client) {
@@ -104,7 +93,7 @@ func batchTestRig(t *testing.T, reg *metrics.Registry, copts ...ClientOption) (*
 		t.Fatal(err)
 	}
 	for i := 1; i <= 64; i++ {
-		if err := sw.Setup(uint16(i), 1, 1e6); err != nil {
+		if err := sw.SetupID(switchfab.VCID(i), 1, 1e6); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -227,10 +216,9 @@ func TestClientBatchUnknownVCFallback(t *testing.T) {
 	}
 }
 
-// v2OnlyServer mimics a pre-batch peer: it answers v2 RM frames but drops
-// anything at version 3, exactly as the old ParseFrame rejected unknown
-// versions.
-func v2OnlyServer(t *testing.T, sw *switchfab.Switch) net.Addr {
+// noBatchServer is a peer that answers singleton RM frames but never
+// answers a batch frame.
+func noBatchServer(t *testing.T, sw *switchfab.Switch) net.Addr {
 	t.Helper()
 	conn, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
@@ -243,9 +231,6 @@ func v2OnlyServer(t *testing.T, sw *switchfab.Switch) net.Addr {
 			n, from, err := conn.ReadFrom(buf)
 			if err != nil {
 				return
-			}
-			if n < headerLen || buf[0] != Magic || buf[1] != Version {
-				continue // a v2-only peer drops version-3 frames on the floor
 			}
 			f, err := ParseFrame(buf[:n])
 			if err != nil || f.Type != TypeRM {
@@ -269,19 +254,19 @@ func v2OnlyServer(t *testing.T, sw *switchfab.Switch) net.Addr {
 	return conn.LocalAddr()
 }
 
-// TestClientBatchV2PeerFallback: against a v2-only peer the batch frame
-// goes unanswered and every entry must still succeed via per-VC resync.
-func TestClientBatchV2PeerFallback(t *testing.T) {
+// TestClientBatchNoBatchPeerFallback: against a peer that never answers
+// batch frames every entry must still succeed via per-VC resync.
+func TestClientBatchNoBatchPeerFallback(t *testing.T) {
 	sw := switchfab.New()
 	if err := sw.AddPort(1, 1e9); err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 4; i++ {
-		if err := sw.Setup(uint16(i), 1, 1e6); err != nil {
+		if err := sw.SetupID(switchfab.VCID(i), 1, 1e6); err != nil {
 			t.Fatal(err)
 		}
 	}
-	addr := v2OnlyServer(t, sw)
+	addr := noBatchServer(t, sw)
 	reg := metrics.NewRegistry()
 	c, err := DialContext(ctx, addr.String(),
 		WithBatchWindow(10*time.Millisecond),
@@ -311,10 +296,10 @@ func TestClientBatchV2PeerFallback(t *testing.T) {
 		}
 	}
 	if reg.Snapshot().Counters[MetricClientBatchFallbacks] == 0 {
-		t.Error("fallback counter never moved against a v2-only peer")
+		t.Error("fallback counter never moved against a peer that never answers batches")
 	}
 	for i := 1; i <= 4; i++ {
-		if r, _ := sw.VCRate(uint16(i)); r != want {
+		if r, _ := sw.VCRateID(switchfab.VCID(i)); r != want {
 			t.Errorf("VC %d rate %g, want %g", i, r, want)
 		}
 	}

@@ -1,6 +1,8 @@
 package netproto
 
 import (
+	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -101,4 +103,92 @@ func benchSignalThroughput(b *testing.B, workers int, serialize bool) {
 		b.Fatalf("grants = %d, want %d (denials on an uncontended link?)", got, b.N)
 	}
 	b.ReportMetric(float64(grants.Load())/elapsed.Seconds(), "grants/s")
+}
+
+// BenchmarkSignalBatchWindow measures what the client's batch window buys
+// end to end: closed-loop sources renegotiating over loopback UDP, split
+// across two client sockets, against a server at its defaults, with no
+// window and with a 50 µs window. It reports throughput (renegs/s) and the
+// median per-call latency (p50_us). The per-attempt timeout is 2 s, so a
+// request the server's queue drops shows up as a 2 s stall, not a retry
+// storm.
+func BenchmarkSignalBatchWindow(b *testing.B) {
+	for _, sources := range []int{32, 256} {
+		for _, window := range []time.Duration{0, 50 * time.Microsecond} {
+			b.Run(fmt.Sprintf("sources=%d/window=%v", sources, window), func(b *testing.B) {
+				benchSignalBatchWindow(b, sources, window)
+			})
+		}
+	}
+}
+
+func benchSignalBatchWindow(b *testing.B, sources int, window time.Duration) {
+	sw := switchfab.New()
+	if err := sw.AddPort(1, 1e12); err != nil {
+		b.Fatal(err)
+	}
+	srv, err := NewServer("127.0.0.1:0", sw)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	go srv.Serve() //nolint:errcheck
+
+	clients := make([]*Client, 2)
+	for i := range clients {
+		cl, err := DialContext(ctx, srv.Addr().String(),
+			WithTimeout(2*time.Second), WithBatchWindow(window))
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer cl.Close()
+		clients[i] = cl
+	}
+	for i := 0; i < sources; i++ {
+		if err := clients[i%2].Setup(ctx, uint16(i+1), 1, 64e3); err != nil {
+			b.Fatal(err)
+		}
+	}
+
+	lat := make([][]time.Duration, sources)
+	b.ResetTimer()
+	start := time.Now()
+	var wg sync.WaitGroup
+	for s := 0; s < sources; s++ {
+		n := b.N / sources
+		if s < b.N%sources {
+			n++
+		}
+		wg.Add(1)
+		go func(s, n int) {
+			defer wg.Done()
+			cl, vci := clients[s%2], uint16(s+1)
+			cur := 64e3
+			l := make([]time.Duration, 0, n)
+			for k := 0; k < n; k++ {
+				target := 64e3 + float64(k%7)*16e3
+				t0 := time.Now()
+				granted, _, err := cl.Renegotiate(ctx, vci, cur, target)
+				l = append(l, time.Since(t0))
+				if err != nil {
+					b.Error(err)
+					return
+				}
+				cur = granted
+			}
+			lat[s] = l
+		}(s, n)
+	}
+	wg.Wait()
+	elapsed := time.Since(start)
+	b.StopTimer()
+	var all []time.Duration
+	for _, l := range lat {
+		all = append(all, l...)
+	}
+	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
+	b.ReportMetric(float64(b.N)/elapsed.Seconds(), "renegs/s")
+	if len(all) > 0 {
+		b.ReportMetric(float64(all[len(all)/2])/float64(time.Microsecond), "p50_us")
+	}
 }

@@ -124,15 +124,15 @@ func WithRetries(n int) ClientOption {
 }
 
 // WithBatchWindow enables client-side RM coalescing: Renegotiate calls
-// arriving within d of each other are merged into one version-3 batch frame
-// of up to MaxRMBatch entries (distinct VCs; a repeat for a VC already in
-// the window flushes it early). Batched entries are sequenced deltas, so
-// the whole frame retransmits unchanged on timeout — the switch's duplicate
-// filter makes the replay harmless. An entry the batch path cannot resolve
-// (a v2-only peer, an unknown VC, a batch-level error) falls back to the
-// per-VC resync path transparently, so enabling the window never changes
-// results — only datagram count and latency. Zero or negative d leaves
-// batching off (the default).
+// arriving within d of each other are merged into one batch frame of up to
+// MaxRMBatch entries (distinct VCs; a repeat for a VC already in the window
+// flushes it early). Batched entries are sequenced deltas, so the whole
+// frame retransmits unchanged on timeout — the switch's duplicate filter
+// makes the replay harmless. An entry the batch path cannot resolve (a peer
+// that never answers batches, an unknown VC, a batch-level error) falls back
+// to the per-VC resync path transparently, so enabling the window never
+// changes results — only datagram count and latency. Zero or negative d
+// leaves batching off (the default).
 func WithBatchWindow(d time.Duration) ClientOption {
 	return func(c *Client) {
 		if d > 0 {

@@ -18,16 +18,16 @@ func FuzzServerHandle(f *testing.F) {
 	f.Add(EncodeTeardown(2, 1))
 	f.Add(EncodeErr(3, ErrCodeGeneric, "x"))
 	f.Add([]byte{Magic, Version, 99, 0, 0, 0, 0})
-	if batch, err := AppendRMBatch(nil, 4, []switchfab.RMItem{{VCI: 1}}); err == nil {
+	if batch, err := AppendRMBatch(nil, 4, []switchfab.RMItem{{ID: 1}}); err == nil {
 		f.Add(batch)
 	}
-	f.Add([]byte{Magic, VersionBatch, TypeRMBatch, 0, 0, 0, 5, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1})
+	f.Add([]byte{Magic, Version, TypeRMBatch, 0, 0, 0, 5, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sw := switchfab.New(nil)
 		if err := sw.AddPort(1, 1e6); err != nil {
 			t.Fatal(err)
 		}
-		if err := sw.Setup(1, 1, 1e5); err != nil {
+		if err := sw.SetupID(1, 1, 1e5); err != nil {
 			t.Fatal(err)
 		}
 		s := &Server{sw: sw}
@@ -67,8 +67,8 @@ func FuzzParseFrame(f *testing.F) {
 // answers ErrNoVC, never ErrInvalidRate).
 func FuzzDecodeRMBatch(f *testing.F) {
 	items := []switchfab.RMItem{
-		{VPI: 0, VCI: 1, M: cell.RM{ER: 374e3, Seq: 7}},
-		{VPI: 3, VCI: 0xFFFF, M: cell.RM{Resync: true, Decrease: true, ER: 0, Seq: 1}},
+		{ID: 1, M: cell.RM{ER: 374e3, Seq: 7}},
+		{ID: switchfab.MakeVCID(3, 0xFFFF), M: cell.RM{Resync: true, Decrease: true, ER: 0, Seq: 1}},
 	}
 	if frame, err := AppendRMBatch(nil, 1, items); err == nil {
 		if fr, err := ParseFrame(frame); err == nil {
@@ -101,7 +101,7 @@ func FuzzDecodeRMBatch(f *testing.F) {
 		for i, it := range got {
 			m := it.M
 			m.Backward, m.Response = false, false
-			_, err := sw.HandleRM(cell.Header{VPI: it.VPI, VCI: it.VCI}, m)
+			_, err := sw.HandleRM(cell.Header{VPI: it.ID.VPI(), VCI: it.ID.VCI()}, m)
 			if !errors.Is(err, switchfab.ErrNoVC) {
 				t.Fatalf("item %d rate %v: fabric answered %v, want ErrNoVC", i, it.M.ER, err)
 			}

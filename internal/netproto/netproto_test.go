@@ -20,17 +20,13 @@ func TestFrameRoundTrip(t *testing.T) {
 		if len(payload) > maxFrame-headerLen {
 			payload = payload[:maxFrame-headerLen]
 		}
-		ver := uint8(Version)
-		if typ == TypeRMBatch || typ == TypeRMBatchReply {
-			ver = VersionBatch // batch types are only legal at version 3
-		}
-		b := appendHeader(nil, ver, typ, reqID)
+		b := appendHeader(nil, typ, reqID)
 		b = append(b, payload...)
 		got, err := ParseFrame(b)
 		if err != nil {
 			return false
 		}
-		if got.Version != ver || got.Type != typ || got.ReqID != reqID || len(got.Payload) != len(payload) {
+		if got.Type != typ || got.ReqID != reqID || len(got.Payload) != len(payload) {
 			return false
 		}
 		for i := range payload {
@@ -52,8 +48,11 @@ func TestFrameErrors(t *testing.T) {
 	if _, err := ParseFrame([]byte{0, 1, 1, 0, 0, 0, 0}); !errors.Is(err, ErrFrame) {
 		t.Errorf("magic: %v", err)
 	}
-	if _, err := ParseFrame([]byte{Magic, 9, 1, 0, 0, 0, 0}); !errors.Is(err, ErrVersion) {
-		t.Errorf("version: %v", err)
+	// Version 2 framed every non-batch message before the single version.
+	for _, v := range []byte{2, 9} {
+		if _, err := ParseFrame([]byte{Magic, v, 1, 0, 0, 0, 0}); !errors.Is(err, ErrVersion) {
+			t.Errorf("version %d: %v", v, err)
+		}
 	}
 }
 
@@ -128,7 +127,7 @@ func TestEndToEndSetupRenegotiateTeardown(t *testing.T) {
 	if err := cl.Setup(ctx, 42, 1, 128e3); err != nil {
 		t.Fatal(err)
 	}
-	if r, _ := sw.VCRate(42); r != 128e3 {
+	if r, _ := sw.VCRateID(42); r != 128e3 {
 		t.Fatalf("rate after setup = %v", r)
 	}
 	granted, ok, err := cl.Renegotiate(ctx, 42, 128e3, 256e3)
@@ -175,7 +174,7 @@ func TestEndToEndResync(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("resync: %v %v %v", granted, ok, err)
 	}
-	if r, _ := sw.VCRate(7); math.Abs(r-300e3)/300e3 > 1.0/256 {
+	if r, _ := sw.VCRateID(7); math.Abs(r-300e3)/300e3 > 1.0/256 {
 		t.Fatalf("rate after resync = %v", r)
 	}
 }

@@ -14,14 +14,14 @@
 // target rate, which is safe to repeat (footnote 2's drift repair doubles as
 // the retry mechanism).
 //
-// Error replies (TypeErr) carry a one-byte error code ahead of the message
-// text, mapping the switch's sentinel errors onto the wire so clients can
-// match them with errors.Is; version 2 of the framing introduced the code
-// byte. Version 3 introduced batched RM frames (TypeRMBatch/TypeRMBatchReply)
-// coalescing up to MaxRMBatch renegotiations into one datagram; every other
-// message type still travels at version 2, so the version byte itself is the
-// negotiation: a v2-only peer rejects batch frames as an unsupported version
-// and the client's per-VC fallback path takes over.
+// Every frame travels at the one framing Version; ParseFrame rejects any
+// other version byte, so an older peer fails fast instead of misreading a
+// payload. Error replies (TypeErr) carry a one-byte error code ahead of the
+// message text, mapping the switch's sentinel errors onto the wire so
+// clients can match them with errors.Is. Batched RM frames
+// (TypeRMBatch/TypeRMBatchReply) coalesce up to MaxRMBatch renegotiations
+// into one datagram; a peer that never answers them sends the client's
+// entries down its per-VC fallback path.
 //
 // Allocation discipline: every Encode* function has an Append* core that
 // writes into a caller-provided buffer, so the steady-state renegotiation
@@ -43,10 +43,10 @@ import (
 // Wire constants.
 const (
 	Magic = 0xC5
-	// Version is the framing version of all non-batch messages.
-	Version = 2
-	// VersionBatch is the framing version carrying batched RM messages.
-	VersionBatch = 3
+	// Version is the framing version of every message. It is 3, not 2, so
+	// that ParseFrame rejects a peer still framing singleton messages at
+	// version 2 under the old two-version split.
+	Version = 3
 
 	headerLen = 7
 	maxFrame  = 512
@@ -61,8 +61,8 @@ const (
 	TypeTeardownOK
 	TypeRM
 	TypeRMReply
-	// TypeRMBatch / TypeRMBatchReply (version 3) carry up to MaxRMBatch
-	// coalesced RM messages for distinct VCs.
+	// TypeRMBatch / TypeRMBatchReply carry up to MaxRMBatch coalesced RM
+	// messages for distinct VCs.
 	TypeRMBatch
 	TypeRMBatchReply
 )
@@ -84,24 +84,22 @@ var (
 
 // Frame is a decoded signaling datagram.
 type Frame struct {
-	Version uint8
 	Type    uint8
 	ReqID   uint32
 	Payload []byte
 }
 
-// appendHeader writes the common frame header at the given version.
+// appendHeader writes the common frame header.
 //
 //rcbr:zeroalloc
-func appendHeader(b []byte, version, typ uint8, reqID uint32) []byte {
-	b = append(b, Magic, version, typ)
+func appendHeader(b []byte, typ uint8, reqID uint32) []byte {
+	b = append(b, Magic, Version, typ)
 	var id [4]byte
 	binary.BigEndian.PutUint32(id[:], reqID)
 	return append(b, id[:]...)
 }
 
-// ParseFrame decodes a datagram's framing. Versions 2 and 3 are accepted;
-// batch message types require version 3.
+// ParseFrame decodes a datagram's framing. Only Version is accepted.
 func ParseFrame(b []byte) (Frame, error) {
 	if len(b) < headerLen {
 		return Frame{}, ErrFrame
@@ -109,14 +107,10 @@ func ParseFrame(b []byte) (Frame, error) {
 	if b[0] != Magic {
 		return Frame{}, fmt.Errorf("%w: bad magic %#x", ErrFrame, b[0])
 	}
-	if b[1] != Version && b[1] != VersionBatch {
+	if b[1] != Version {
 		return Frame{}, fmt.Errorf("%w: %d", ErrVersion, b[1])
 	}
-	if (b[2] == TypeRMBatch || b[2] == TypeRMBatchReply) && b[1] != VersionBatch {
-		return Frame{}, fmt.Errorf("%w: batch frame at version %d", ErrVersion, b[1])
-	}
 	return Frame{
-		Version: b[1],
 		Type:    b[2],
 		ReqID:   binary.BigEndian.Uint32(b[3:7]),
 		Payload: b[headerLen:],
@@ -135,7 +129,7 @@ type SetupReq struct {
 //
 //rcbr:zeroalloc
 func AppendSetup(dst []byte, reqID uint32, req SetupReq) []byte {
-	dst = appendHeader(dst, Version, TypeSetup, reqID)
+	dst = appendHeader(dst, TypeSetup, reqID)
 	var p [12]byte
 	binary.BigEndian.PutUint16(p[0:2], req.VCI)
 	binary.BigEndian.PutUint16(p[2:4], req.Port)
@@ -172,7 +166,7 @@ func DecodeSetup(p []byte) (SetupReq, error) {
 
 // AppendTeardown appends a teardown request for a VCI to dst.
 func AppendTeardown(dst []byte, reqID uint32, vci uint16) []byte {
-	dst = appendHeader(dst, Version, TypeTeardown, reqID)
+	dst = appendHeader(dst, TypeTeardown, reqID)
 	var p [2]byte
 	binary.BigEndian.PutUint16(p[:], vci)
 	return append(dst, p[:]...)
@@ -194,7 +188,7 @@ func DecodeTeardown(p []byte) (uint16, error) {
 // AppendOK appends a success reply of the given type (TypeSetupOK or
 // TypeTeardownOK) to dst.
 func AppendOK(dst []byte, typ uint8, reqID uint32) []byte {
-	return appendHeader(dst, Version, typ, reqID)
+	return appendHeader(dst, typ, reqID)
 }
 
 // EncodeOK builds a success reply of the given type (TypeSetupOK or
@@ -254,7 +248,7 @@ func AppendErr(dst []byte, reqID uint32, code uint8, msg string) []byte {
 	if len(msg) > maxFrame-headerLen-1 {
 		msg = msg[:maxFrame-headerLen-1]
 	}
-	dst = appendHeader(dst, Version, TypeErr, reqID)
+	dst = appendHeader(dst, TypeErr, reqID)
 	dst = append(dst, code)
 	return append(dst, msg...)
 }
@@ -282,7 +276,7 @@ func appendRMCell(dst []byte, typ uint8, reqID uint32, h cell.Header, m cell.RM)
 	if err != nil {
 		return dst, err
 	}
-	dst = appendHeader(dst, Version, typ, reqID)
+	dst = appendHeader(dst, typ, reqID)
 	return append(dst, raw[:]...), nil
 }
 
@@ -340,7 +334,7 @@ func appendRMBatch(dst []byte, typ uint8, reqID uint32, items []switchfab.RMItem
 	if len(items) == 0 || len(items) > MaxRMBatch {
 		return dst, fmt.Errorf("%w: batch of %d items", ErrFrame, len(items))
 	}
-	dst = appendHeader(dst, VersionBatch, typ, reqID)
+	dst = appendHeader(dst, typ, reqID)
 	dst = append(dst, uint8(len(items)))
 	for _, it := range items {
 		var flags uint8
@@ -364,8 +358,8 @@ func appendRMBatch(dst []byte, typ uint8, reqID uint32, items []switchfab.RMItem
 			return dst, err
 		}
 		var e [rmEntryLen]byte
-		e[0] = it.VPI
-		binary.BigEndian.PutUint16(e[1:3], it.VCI)
+		e[0] = it.ID.VPI()
+		binary.BigEndian.PutUint16(e[1:3], it.ID.VCI())
 		e[3] = flags
 		binary.BigEndian.PutUint16(e[4:6], er)
 		binary.BigEndian.PutUint32(e[6:10], it.M.Seq)
@@ -374,7 +368,7 @@ func appendRMBatch(dst []byte, typ uint8, reqID uint32, items []switchfab.RMItem
 	return dst, nil
 }
 
-// AppendRMBatch appends a version-3 batch request frame coalescing the
+// AppendRMBatch appends a batch request frame coalescing the
 // items' RM messages to dst.
 //
 //rcbr:zeroalloc
@@ -382,7 +376,7 @@ func AppendRMBatch(dst []byte, reqID uint32, items []switchfab.RMItem) ([]byte, 
 	return appendRMBatch(dst, TypeRMBatch, reqID, items)
 }
 
-// AppendRMBatchReply appends a version-3 batch reply frame to dst.
+// AppendRMBatchReply appends a batch reply frame to dst.
 //
 //rcbr:zeroalloc
 func AppendRMBatchReply(dst []byte, reqID uint32, items []switchfab.RMItem) ([]byte, error) {
@@ -392,9 +386,8 @@ func AppendRMBatchReply(dst []byte, reqID uint32, items []switchfab.RMItem) ([]b
 // DecodeRMBatch parses a batch payload (request or reply), appending the
 // entries to items — pass a reused slice's [:0] for an allocation-free
 // steady state. The codec is strict: undefined flag bits, trailing bytes and
-// ER codes that no rate encodes to (other bits set with the nonzero bit 15
-// clear, or the reserved mantissa bit 9 set) are rejected, so every
-// accepted payload re-encodes to identical wire bytes.
+// ER codes that no rate encodes to (see cell.CanonicalRate16) are rejected,
+// so every accepted payload re-encodes to identical wire bytes.
 //
 //rcbr:zeroalloc
 func DecodeRMBatch(p []byte, items []switchfab.RMItem) ([]switchfab.RMItem, error) {
@@ -415,12 +408,11 @@ func DecodeRMBatch(p []byte, items []switchfab.RMItem) ([]switchfab.RMItem, erro
 			return items, fmt.Errorf("%w: undefined batch flag bits %#x", ErrFrame, flags)
 		}
 		er := binary.BigEndian.Uint16(e[4:6])
-		if (er&(1<<15) == 0 && er != 0) || er&(1<<9) != 0 {
+		if !cell.CanonicalRate16(er) {
 			return items, fmt.Errorf("%w: non-canonical ER code %#04x", ErrFrame, er)
 		}
 		items = append(items, switchfab.RMItem{
-			VPI: e[0],
-			VCI: binary.BigEndian.Uint16(e[1:3]),
+			ID: switchfab.MakeVCID(e[0], binary.BigEndian.Uint16(e[1:3])),
 			M: cell.RM{
 				Backward: flags&batchFlagBackward != 0,
 				Response: flags&batchFlagResponse != 0,

@@ -22,7 +22,7 @@ const (
 	MetricServerErrors     = "signal.server.error_replies"
 	MetricServerDropped    = "signal.server.dropped_datagrams"
 	MetricServerReadErrors = "signal.server.read_errors"
-	// Batch frames (framing v3) are counted separately: whole batches and
+	// Batch frames are counted separately: whole batches and
 	// the RM messages they carried.
 	MetricServerBatches    = "signal.batch.server_batches"
 	MetricServerBatchCells = "signal.batch.server_cells"
@@ -298,11 +298,12 @@ func (s *Server) handle(b []byte, sc *scratch) []byte {
 		if err != nil {
 			return s.errReply(sc, f.ReqID, err)
 		}
-		if err := s.sw.Setup(req.VCI, int(req.Port), req.Rate); err != nil {
+		id := switchfab.VCID(req.VCI)
+		if err := s.sw.SetupID(id, int(req.Port), req.Rate); err != nil {
 			// Duplicate setup of the same VCI at the same rate is treated
 			// as a retransmission and acknowledged idempotently.
 			if errors.Is(err, switchfab.ErrVCExists) {
-				if r, rerr := s.sw.VCRate(req.VCI); rerr == nil && r == req.Rate {
+				if r, rerr := s.sw.VCRateID(id); rerr == nil && r == req.Rate {
 					return AppendOK(sc.reply[:0], TypeSetupOK, f.ReqID)
 				}
 			}
@@ -316,7 +317,7 @@ func (s *Server) handle(b []byte, sc *scratch) []byte {
 		if err != nil {
 			return s.errReply(sc, f.ReqID, err)
 		}
-		if err := s.sw.Teardown(vci); err != nil {
+		if err := s.sw.TeardownID(switchfab.VCID(vci)); err != nil {
 			// A retransmitted teardown finds no VC; acknowledge it.
 			if errors.Is(err, switchfab.ErrNoVC) {
 				return AppendOK(sc.reply[:0], TypeTeardownOK, f.ReqID)

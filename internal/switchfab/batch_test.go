@@ -87,17 +87,17 @@ func TestShardEquivalence(t *testing.T) {
 			}
 		}
 		for i := 0; i < 256; i++ {
-			if err := s.Setup(uint16(i), i%4, 100e3); err != nil {
+			if err := s.SetupID(VCID(i), i%4, 100e3); err != nil {
 				t.Fatal(err)
 			}
 		}
 		for i := 0; i < 256; i++ {
-			if _, _, err := s.Renegotiate(uint16(i), 100e3+float64(i)*1e3); err != nil {
+			if _, _, err := s.RenegotiateID(VCID(i), 100e3+float64(i)*1e3); err != nil {
 				t.Fatal(err)
 			}
 		}
 		for i := 0; i < 256; i += 3 {
-			if err := s.Teardown(uint16(i)); err != nil {
+			if err := s.TeardownID(VCID(i)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -125,7 +125,7 @@ func batchSwitch(t *testing.T, opts ...Option) *Switch {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 8; i++ {
-		if err := s.Setup(uint16(i), 1, 1e6); err != nil {
+		if err := s.SetupID(VCID(i), 1, 1e6); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -135,31 +135,31 @@ func batchSwitch(t *testing.T, opts ...Option) *Switch {
 func TestHandleRMBatch(t *testing.T) {
 	s := batchSwitch(t)
 	items := []RMItem{
-		{VCI: 1, M: cell.RM{ER: 1e6, Seq: 1}},                 // increase to 2e6
-		{VCI: 2, M: cell.RM{Decrease: true, ER: 5e5, Seq: 1}}, // decrease to 5e5
-		{VCI: 3, M: cell.RM{Resync: true, ER: 4e6, Seq: 1}},   // absolute 4e6
-		{VCI: 99, M: cell.RM{ER: 1e6, Seq: 1}},                // unknown VC: no reply
-		{VCI: 4, M: cell.RM{Backward: true, ER: 1, Seq: 1}},   // invalid: no reply
+		{ID: 1, M: cell.RM{ER: 1e6, Seq: 1}},                 // increase to 2e6
+		{ID: 2, M: cell.RM{Decrease: true, ER: 5e5, Seq: 1}}, // decrease to 5e5
+		{ID: 3, M: cell.RM{Resync: true, ER: 4e6, Seq: 1}},   // absolute 4e6
+		{ID: 99, M: cell.RM{ER: 1e6, Seq: 1}},                // unknown VC: no reply
+		{ID: 4, M: cell.RM{Backward: true, ER: 1, Seq: 1}},   // invalid: no reply
 	}
 	out := s.HandleRMBatch(items, nil)
 	if len(out) != 3 {
 		t.Fatalf("got %d replies, want 3 (unknown and invalid items omitted): %+v", len(out), out)
 	}
-	want := map[uint16]float64{1: 2e6, 2: 5e5, 3: 4e6}
+	want := map[VCID]float64{1: 2e6, 2: 5e5, 3: 4e6}
 	for _, r := range out {
 		if !r.M.Backward || !r.M.Response || !r.M.Resync {
-			t.Errorf("reply for VC %d not marked backward/response/resync: %+v", r.VCI, r.M)
+			t.Errorf("reply for VC %d not marked backward/response/resync: %+v", r.ID, r.M)
 		}
 		if r.M.Deny {
-			t.Errorf("reply for VC %d denied", r.VCI)
+			t.Errorf("reply for VC %d denied", r.ID)
 		}
-		if w, ok := want[r.VCI]; !ok || r.M.ER != w {
-			t.Errorf("reply for VC %d carries %g, want %g", r.VCI, r.M.ER, w)
+		if w, ok := want[r.ID]; !ok || r.M.ER != w {
+			t.Errorf("reply for VC %d carries %g, want %g", r.ID, r.M.ER, w)
 		}
-		delete(want, r.VCI)
+		delete(want, r.ID)
 	}
-	for vci, rate := range map[uint16]float64{1: 2e6, 2: 5e5, 3: 4e6, 4: 1e6} {
-		if r, _ := s.VCRate(vci); r != rate {
+	for vci, rate := range map[VCID]float64{1: 2e6, 2: 5e5, 3: 4e6, 4: 1e6} {
+		if r, _ := s.VCRateID(vci); r != rate {
 			t.Errorf("VC %d rate = %g, want %g", vci, r, rate)
 		}
 	}
@@ -174,8 +174,8 @@ func TestHandleRMBatch(t *testing.T) {
 func TestHandleRMBatchSeqDupDrop(t *testing.T) {
 	s := batchSwitch(t)
 	items := []RMItem{
-		{VCI: 1, M: cell.RM{ER: 1e6, Seq: 5}},
-		{VCI: 2, M: cell.RM{ER: 2e6, Seq: 5}},
+		{ID: 1, M: cell.RM{ER: 1e6, Seq: 5}},
+		{ID: 2, M: cell.RM{ER: 2e6, Seq: 5}},
 	}
 	first := s.HandleRMBatch(items, nil)
 	replay := s.HandleRMBatch(items, nil)
@@ -184,13 +184,13 @@ func TestHandleRMBatchSeqDupDrop(t *testing.T) {
 	}
 	for i := range replay {
 		if replay[i].M.ER != first[i].M.ER {
-			t.Errorf("VC %d replay ER %g != first %g", replay[i].VCI, replay[i].M.ER, first[i].M.ER)
+			t.Errorf("VC %d replay ER %g != first %g", replay[i].ID, replay[i].M.ER, first[i].M.ER)
 		}
 		if replay[i].M.Deny {
-			t.Errorf("VC %d replay marked deny; a duplicate drop is not a denial", replay[i].VCI)
+			t.Errorf("VC %d replay marked deny; a duplicate drop is not a denial", replay[i].ID)
 		}
 	}
-	if r, _ := s.VCRate(1); r != 2e6 {
+	if r, _ := s.VCRateID(1); r != 2e6 {
 		t.Errorf("VC 1 rate %g after replay, want 2e6 (delta applied once)", r)
 	}
 	if st := s.Stats(); st.DupDrops != 2 {
@@ -202,15 +202,15 @@ func TestHandleRMBatchSeqDupDrop(t *testing.T) {
 func TestHandleRMBatchDeny(t *testing.T) {
 	s := batchSwitch(t) // 8 MB/s reserved of 100 MB/s
 	out := s.HandleRMBatch([]RMItem{
-		{VCI: 1, M: cell.RM{ER: 200e6, Seq: 1}}, // exceeds capacity: denied
-		{VCI: 2, M: cell.RM{ER: 1e6, Seq: 1}},   // fits: granted
+		{ID: 1, M: cell.RM{ER: 200e6, Seq: 1}}, // exceeds capacity: denied
+		{ID: 2, M: cell.RM{ER: 1e6, Seq: 1}},   // fits: granted
 	}, nil)
 	if len(out) != 2 {
 		t.Fatalf("got %d replies, want 2", len(out))
 	}
-	byVCI := map[uint16]cell.RM{}
+	byVCI := map[VCID]cell.RM{}
 	for _, r := range out {
-		byVCI[r.VCI] = r.M
+		byVCI[r.ID] = r.M
 	}
 	if m := byVCI[1]; !m.Deny || m.ER != 1e6 {
 		t.Errorf("VC 1 reply %+v, want deny with old rate 1e6", m)
@@ -230,24 +230,24 @@ func TestHandleRMBatchAcrossShards(t *testing.T) {
 	const n = 100 // > batchChunk, striped over all 8 shards
 	items := make([]RMItem, 0, n)
 	for i := 0; i < n; i++ {
-		vci := uint16(i + 1)
-		if err := s.Setup(vci, 1, 1e6); err != nil {
+		vci := VCID(i + 1)
+		if err := s.SetupID(vci, 1, 1e6); err != nil {
 			t.Fatal(err)
 		}
-		items = append(items, RMItem{VCI: vci, M: cell.RM{ER: 1e6, Seq: 1}})
+		items = append(items, RMItem{ID: vci, M: cell.RM{ER: 1e6, Seq: 1}})
 	}
 	out := s.HandleRMBatch(items, make([]RMItem, 0, n))
 	if len(out) != n {
 		t.Fatalf("got %d replies, want %d", len(out), n)
 	}
-	seen := map[uint16]bool{}
+	seen := map[VCID]bool{}
 	for _, r := range out {
-		if seen[r.VCI] {
-			t.Errorf("VC %d answered twice", r.VCI)
+		if seen[r.ID] {
+			t.Errorf("VC %d answered twice", r.ID)
 		}
-		seen[r.VCI] = true
+		seen[r.ID] = true
 		if r.M.Deny || r.M.ER != 2e6 {
-			t.Errorf("VC %d reply %+v, want grant of 2e6", r.VCI, r.M)
+			t.Errorf("VC %d reply %+v, want grant of 2e6", r.ID, r.M)
 		}
 	}
 }
@@ -260,13 +260,13 @@ func TestBatchMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 6; i++ {
-		if err := s.Setup(uint16(i), 1, 1e6); err != nil {
+		if err := s.SetupID(VCID(i), 1, 1e6); err != nil {
 			t.Fatal(err)
 		}
 	}
 	s.HandleRMBatch([]RMItem{
-		{VCI: 1, M: cell.RM{ER: 1e6, Seq: 1}},
-		{VCI: 2, M: cell.RM{ER: 1e6, Seq: 1}},
+		{ID: 1, M: cell.RM{ER: 1e6, Seq: 1}},
+		{ID: 2, M: cell.RM{ER: 1e6, Seq: 1}},
 	}, nil)
 	snap := reg.Snapshot()
 	for name, want := range map[string]int64{

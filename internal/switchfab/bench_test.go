@@ -85,7 +85,7 @@ func BenchmarkRMBatch(b *testing.B) {
 			items := make([]RMItem, k)
 			for i := range items {
 				id := benchID(i * 37 % vcs)
-				items[i] = RMItem{VPI: id.VPI(), VCI: id.VCI(), M: cell.RM{Resync: true, ER: 100e3}}
+				items[i] = RMItem{ID: id, M: cell.RM{Resync: true, ER: 100e3}}
 			}
 			out := make([]RMItem, 0, k)
 			b.ResetTimer()
@@ -143,7 +143,7 @@ func TestParallelFabricChurn(t *testing.T) {
 				for i := 0; i < rounds; i++ {
 					for j := range items {
 						id := benchID((i*16 + j*3 + w) % vcs)
-						items[j] = RMItem{VPI: id.VPI(), VCI: id.VCI(), M: cell.RM{Resync: true, ER: 150e3}}
+						items[j] = RMItem{ID: id, M: cell.RM{Resync: true, ER: 150e3}}
 					}
 					out = s.HandleRMBatch(items, out[:0])
 				}

@@ -38,7 +38,7 @@ func TestSetupRejectsNonFiniteRates(t *testing.T) {
 		if _, err := s.HandleRM(cell.Header{VCI: 10}, cell.RM{ER: rate}); !errors.Is(err, ErrInvalidRate) {
 			t.Errorf("HandleRM(ER=%v): %v, want ErrInvalidRate", rate, err)
 		}
-		out := s.HandleRMBatch([]RMItem{{VCI: 10, M: cell.RM{ER: rate, Seq: 1}}}, nil)
+		out := s.HandleRMBatch([]RMItem{{ID: 10, M: cell.RM{ER: rate, Seq: 1}}}, nil)
 		if len(out) != 0 {
 			t.Errorf("HandleRMBatch(ER=%v) produced a reply: %+v", rate, out)
 		}

@@ -30,7 +30,7 @@ func TestConcurrentRenegotiationMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < workers; i++ {
-		if err := sw.Setup(uint16(i+1), 1, base); err != nil {
+		if err := sw.SetupID(VCID(i+1), 1, base); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -38,27 +38,27 @@ func TestConcurrentRenegotiationMetrics(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
-		go func(vci uint16) {
+		go func(vci VCID) {
 			defer wg.Done()
 			for k := 0; k < perWorker; k++ {
-				if _, _, err := sw.Renegotiate(vci, base+float64(k+1)*step); err != nil {
+				if _, _, err := sw.RenegotiateID(vci, base+float64(k+1)*step); err != nil {
 					t.Error(err)
 					return
 				}
 			}
-		}(uint16(i + 1))
+		}(VCID(i + 1))
 	}
 	wg.Wait()
 	// Workers leave their rates ramped up (the port is saturated under any
 	// interleaving); settle each back to base — a decrease, always granted
 	// — so the teardown accounting below is exact.
 	for i := 0; i < workers; i++ {
-		if _, ok, err := sw.Renegotiate(uint16(i+1), base); err != nil || !ok {
+		if _, ok, err := sw.RenegotiateID(VCID(i+1), base); err != nil || !ok {
 			t.Fatalf("settle vci %d: ok=%v err=%v", i+1, ok, err)
 		}
 	}
 	for i := 0; i < workers; i++ {
-		if err := sw.Teardown(uint16(i + 1)); err != nil {
+		if err := sw.TeardownID(VCID(i + 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -114,23 +114,23 @@ func TestMetricsMirrorSwitchState(t *testing.T) {
 	if got := reg.Snapshot().Gauges[PortCapacityGauge(7)]; got != 1e6 {
 		t.Fatalf("capacity gauge = %g", got)
 	}
-	if err := sw.Setup(3, 7, 400e3); err != nil {
+	if err := sw.SetupID(3, 7, 400e3); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, _ := sw.Renegotiate(3, 900e3); !ok {
+	if _, ok, _ := sw.RenegotiateID(3, 900e3); !ok {
 		t.Fatal("in-capacity increase denied")
 	}
-	if _, ok, _ := sw.Renegotiate(3, 2e6); ok {
+	if _, ok, _ := sw.RenegotiateID(3, 2e6); ok {
 		t.Fatal("over-capacity increase granted")
 	}
 	if got := reg.Snapshot().Gauges[PortReservedGauge(7)]; got != 900e3 {
 		t.Fatalf("reserved gauge = %g, want 900e3", got)
 	}
 	// Over-capacity setup and admission-style reject surface as events too.
-	if err := sw.Setup(4, 7, 500e3); err == nil {
+	if err := sw.SetupID(4, 7, 500e3); err == nil {
 		t.Fatal("over-capacity setup accepted")
 	}
-	if err := sw.Teardown(3); err != nil {
+	if err := sw.TeardownID(3); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Snapshot().Gauges[PortReservedGauge(7)]; got != 0 {
@@ -172,7 +172,7 @@ func TestResyncEventsAndLatencyAccounting(t *testing.T) {
 	if err := sw.AddPort(1, 1e6); err != nil {
 		t.Fatal(err)
 	}
-	if err := sw.Setup(4, 1, 100e3); err != nil {
+	if err := sw.SetupID(4, 1, 100e3); err != nil {
 		t.Fatal(err)
 	}
 	h := cell.Header{VCI: 4, PTI: cell.PTIRM}
@@ -200,7 +200,7 @@ func TestResyncEventsAndLatencyAccounting(t *testing.T) {
 		t.Fatal("missing VC accepted")
 	}
 	calls++
-	if _, _, err := sw.Renegotiate(99, 1e3); err == nil {
+	if _, _, err := sw.RenegotiateID(99, 1e3); err == nil {
 		t.Fatal("missing VC accepted")
 	}
 	calls++
@@ -251,13 +251,13 @@ func TestUninstrumentedSwitchStillWorks(t *testing.T) {
 		if err := sw.AddPort(1, 1e6); err != nil {
 			t.Fatal(err)
 		}
-		if err := sw.Setup(1, 1, 100e3); err != nil {
+		if err := sw.SetupID(1, 1, 100e3); err != nil {
 			t.Fatal(err)
 		}
-		if _, ok, err := sw.Renegotiate(1, 200e3); err != nil || !ok {
+		if _, ok, err := sw.RenegotiateID(1, 200e3); err != nil || !ok {
 			t.Fatalf("renegotiate: ok=%v err=%v", ok, err)
 		}
-		if err := sw.Teardown(1); err != nil {
+		if err := sw.TeardownID(1); err != nil {
 			t.Fatal(err)
 		}
 		if st := sw.Stats(); st.Setups != 1 || st.Renegotiations != 1 {
@@ -272,7 +272,7 @@ func TestVCsListing(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, vci := range []uint16{30, 10, 20} {
-		if err := sw.Setup(vci, 1, float64(vci)*1e3); err != nil {
+		if err := sw.SetupID(VCID(vci), 1, float64(vci)*1e3); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -36,10 +36,8 @@
 //
 // VC identifiers: the paper's switch is an ATM switch, so a VC is named by
 // the cell header's (VPI, VCI) pair — 24 bits, far past the 65,536 circuits
-// a bare 16-bit VCI allows. The uint16 convenience methods (Setup,
-// Teardown, Renegotiate, VCRate) address VPI 0; the *ID variants take a full
-// VCID. HandleRM always honors the header's VPI, so cell-driven signaling
-// reaches the whole space.
+// a bare 16-bit VCI allows. Every method that addresses a VC takes that
+// pair packed as one VCID; HandleRM reads it from the cell header.
 //
 // RM-cell sequence numbers: delta cells are not idempotent, so the switch
 // tracks the last-seen sequence number per VC and drops a sequenced delta
@@ -64,7 +62,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"rcbr/internal/cell"
 	"rcbr/internal/metrics"
@@ -90,8 +87,8 @@ func IsReject(err error) bool {
 }
 
 // VCID names a virtual channel by its ATM (VPI, VCI) pair packed into 24
-// bits: VPI in bits 16-23, VCI in bits 0-15. The zero-VPI subspace is what
-// the uint16 convenience methods address.
+// bits: VPI in bits 16-23, VCI in bits 0-15. A bare VCI converts to the
+// VPI-0 identifier, VCID(vci).
 type VCID uint32
 
 // MakeVCID packs a (VPI, VCI) pair.
@@ -285,7 +282,11 @@ const (
 	MetricPartialGrants = "switch.renegotiation_partial_grants"
 	MetricResyncs       = "switch.resyncs"
 	MetricDupDrops      = "switch.rm_duplicates_dropped"
-	MetricRenegLatency  = "switch.renegotiation_seconds"
+	// MetricRenegLatency observes every RenegotiateID, RenegotiateBestID and
+	// HandleRM call past argument validation — grant, deny, duplicate drop
+	// and error alike — and HandleRMBatch once per batch: the batch is the
+	// request.
+	MetricRenegLatency = "switch.renegotiation_seconds"
 	// MetricShardCount is the configured shard count (a gauge, set once at
 	// construction); MetricShardVCsMax tracks the high-water VC occupancy of
 	// the fullest shard, a cheap balance check for the VCI->shard spread.
@@ -299,10 +300,10 @@ const (
 	// reserved figure (see Stats.ReservedClamps).
 	MetricReservedClamped = "switch.port.reserved_clamped"
 	// MetricSetupLatency observes the wall time of every SetupID call past
-	// argument validation — accept and reject alike — and MetricAdmitLatency
-	// the admission decision alone (recorded only when an Admitter is
-	// installed), so setup cost and admit-decision cost separate cleanly
-	// under churn.
+	// argument validation — accept, capacity reject and admission reject
+	// alike — and MetricAdmitLatency the admission decision alone (recorded
+	// only when an Admitter is installed), so setup cost and admit-decision
+	// cost separate cleanly under churn.
 	MetricSetupLatency = "switch.setup_seconds"
 	MetricAdmitLatency = "switch.admit_seconds"
 )
@@ -533,23 +534,17 @@ func (s *Switch) setReserved(p *port, v float64) {
 	p.reservedGauge.Set(v)
 }
 
-// Setup establishes a VC (VPI 0) on an output port at an initial rate: the
+// SetupID establishes a VC on an output port at an initial rate: the
 // heavyweight signaling path, subject to admission control and the hard
-// capacity check.
-func (s *Switch) Setup(vci uint16, portID int, rate float64) error {
-	return s.SetupID(VCID(vci), portID, rate)
-}
-
-// SetupID is Setup addressing the full (VPI, VCI) space. Setups on
-// different ports run concurrently: the only locks taken are the VC's shard
-// (exclusive) and the target port's mutex, in that order, with the admission
-// decision and the reservation applied under the same port-mutex hold so no
-// concurrent setup can invalidate the decision.
+// capacity check. Setups on different ports run concurrently: the only locks
+// taken are the VC's shard (exclusive) and the target port's mutex, in that
+// order, with the admission decision and the reservation applied under the
+// same port-mutex hold so no concurrent setup can invalidate the decision.
 func (s *Switch) SetupID(id VCID, portID int, rate float64) error {
 	if !validRate(rate) {
 		return fmt.Errorf("%w: %g", ErrInvalidRate, rate)
 	}
-	defer s.observeSetupLatency(s.setupStart())
+	defer s.ins.setupLatency.ObserveSince(s.ins.setupLatency.Start())
 	p := s.port(portID)
 	if p == nil {
 		return fmt.Errorf("%w: %d", ErrNoPort, portID)
@@ -593,22 +588,13 @@ func (s *Switch) SetupID(id VCID, portID int, rate float64) error {
 // additionally serialized under admitMu so stateful implementations keep
 // the old never-concurrent contract.
 func (s *Switch) admitCall(portID int, rate, reserved, capacity float64) bool {
-	start := time.Time{}
-	if s.ins.admitLatency != nil {
-		start = time.Now()
-	}
-	var ok bool
+	defer s.ins.admitLatency.ObserveSince(s.ins.admitLatency.Start())
 	if s.lifecycle != nil {
-		ok = s.admitter.AdmitCall(portID, rate, reserved, capacity)
-	} else {
-		s.admitMu.Lock()
-		ok = s.admitter.AdmitCall(portID, rate, reserved, capacity)
-		s.admitMu.Unlock()
+		return s.admitter.AdmitCall(portID, rate, reserved, capacity)
 	}
-	if !start.IsZero() {
-		s.ins.admitLatency.ObserveSince(start)
-	}
-	return ok
+	s.admitMu.Lock()
+	defer s.admitMu.Unlock()
+	return s.admitter.AdmitCall(portID, rate, reserved, capacity)
 }
 
 // noteShardSize CAS-raises the fullest-shard high-water mark. Called with
@@ -629,25 +615,6 @@ func (s *Switch) noteShardSize(n int) {
 	}
 }
 
-// setupStart returns the setup-latency timer start, or the zero time when
-// the histogram is disabled (so uninstrumented switches skip clock reads).
-func (s *Switch) setupStart() time.Time {
-	if s.ins.setupLatency == nil {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-// observeSetupLatency records one setup-latency observation; like the
-// renegotiation histogram it covers every path past argument validation —
-// accept, capacity reject, and admission reject alike.
-func (s *Switch) observeSetupLatency(start time.Time) {
-	if s.ins.setupLatency == nil || start.IsZero() {
-		return
-	}
-	s.ins.setupLatency.ObserveSince(start)
-}
-
 func (s *Switch) rejectSetup(id VCID, portID int, rate float64) {
 	s.stats.setupRejects.Add(1)
 	s.ins.setupRejects.Inc()
@@ -656,14 +623,9 @@ func (s *Switch) rejectSetup(id VCID, portID int, rate float64) {
 	})
 }
 
-// Teardown releases a VC (VPI 0) and its reservation.
-func (s *Switch) Teardown(vci uint16) error {
-	return s.TeardownID(VCID(vci))
-}
-
-// TeardownID is Teardown addressing the full (VPI, VCI) space. Taking the
-// shard exclusively guarantees no RM cell is mid-flight on the VC when its
-// state is freed.
+// TeardownID releases a VC and its reservation. Taking the shard
+// exclusively guarantees no RM cell is mid-flight on the VC when its state
+// is freed.
 func (s *Switch) TeardownID(id VCID) error {
 	sh := s.shard(id)
 	sh.mu.Lock()
@@ -690,22 +652,17 @@ func (s *Switch) TeardownID(id VCID) error {
 	return nil
 }
 
-// Renegotiate applies a rate change request for a VC (VPI 0): the paper's
+// RenegotiateID applies a rate change request for a VC: the paper's
 // lightweight path. Decreases always succeed; an increase succeeds iff the
 // port stays within capacity. It returns the rate now in force and whether
 // the request was granted in full.
-func (s *Switch) Renegotiate(vci uint16, newRate float64) (granted float64, ok bool, err error) {
-	return s.RenegotiateID(VCID(vci), newRate)
-}
-
-// RenegotiateID is Renegotiate addressing the full (VPI, VCI) space.
 //
 //rcbr:zeroalloc
 func (s *Switch) RenegotiateID(id VCID, newRate float64) (granted float64, ok bool, err error) {
 	if !validRate(newRate) {
 		return 0, false, fmt.Errorf("%w: %g", ErrInvalidRate, newRate)
 	}
-	defer s.observeRenegLatency(s.renegStart())
+	defer s.ins.renegLatency.ObserveSince(s.ins.renegLatency.Start())
 	sh := s.shard(id)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
@@ -718,11 +675,6 @@ func (s *Switch) RenegotiateID(id VCID, newRate float64) (granted float64, ok bo
 	defer p.mu.Unlock()
 	granted, ok = s.applyRate(id, vc, p, newRate, newRate, metrics.EventRenegGrant)
 	return granted, ok, nil
-}
-
-// RenegotiateBest is RenegotiateBestID addressing VPI 0.
-func (s *Switch) RenegotiateBest(vci uint16, target float64) (granted float64, full bool, err error) {
-	return s.RenegotiateBestID(VCID(vci), target)
 }
 
 // RenegotiateBestID applies a rate change granting the most the VC's port
@@ -741,7 +693,7 @@ func (s *Switch) RenegotiateBestID(id VCID, target float64) (granted float64, fu
 	if !validRate(target) {
 		return 0, false, fmt.Errorf("%w: %g", ErrInvalidRate, target)
 	}
-	defer s.observeRenegLatency(s.renegStart())
+	defer s.ins.renegLatency.ObserveSince(s.ins.renegLatency.Start())
 	sh := s.shard(id)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
@@ -781,31 +733,6 @@ func (s *Switch) RenegotiateBestID(id VCID, target float64) (granted float64, fu
 		s.ins.partialGrants.Inc()
 	}
 	return granted, full, nil
-}
-
-// renegStart returns the latency-timer start, or the zero time when the
-// histogram is disabled (so uninstrumented switches skip the clock reads).
-//
-//rcbr:zeroalloc
-func (s *Switch) renegStart() time.Time {
-	if s.ins.renegLatency == nil {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-// observeRenegLatency records one renegotiation-latency observation. Both
-// Renegotiate and HandleRM observe on every path past argument validation —
-// grant, deny, duplicate drop, and error alike — so the histogram is a
-// faithful per-request latency record. HandleRMBatch observes once per
-// batch: the batch is the request.
-//
-//rcbr:zeroalloc
-func (s *Switch) observeRenegLatency(start time.Time) {
-	if s.ins.renegLatency == nil || start.IsZero() {
-		return
-	}
-	s.ins.renegLatency.ObserveSince(start)
 }
 
 // applyRate is the paper's one-compare renegotiation decision. It must be
@@ -872,7 +799,7 @@ func (s *Switch) HandleRM(h cell.Header, m cell.RM) (cell.RM, error) {
 	if !validRate(m.ER) {
 		return cell.RM{}, fmt.Errorf("%w: %g", ErrInvalidRate, m.ER)
 	}
-	defer s.observeRenegLatency(s.renegStart())
+	defer s.ins.renegLatency.ObserveSince(s.ins.renegLatency.Start())
 	id := MakeVCID(h.VPI, h.VCI)
 	sh := s.shard(id)
 	sh.mu.RLock()
@@ -938,9 +865,8 @@ func (s *Switch) handleRMLocked(id VCID, vc *vcState, m cell.RM) cell.RM {
 // RMItem is one VC's RM message inside a coalesced batch: the forward
 // message on the way in, the backward cell on the way out.
 type RMItem struct {
-	VPI uint8
-	VCI uint16
-	M   cell.RM
+	ID VCID
+	M  cell.RM
 }
 
 // batchChunk bounds the items a single done-bitmask tracks in
@@ -960,13 +886,13 @@ const batchChunk = 64
 // resync, deny accounting, events), with one wire-shaped difference:
 // invalid items (backward/response set, non-finite or negative ER) and unknown VCs
 // produce no reply entry instead of an error, so callers match replies to
-// requests by (VPI, VCI) and treat a missing entry as a per-VC failure to
+// requests by VCID and treat a missing entry as a per-VC failure to
 // resolve on the singleton path. The renegotiation-latency histogram
 // records one observation for the whole batch.
 //
 //rcbr:zeroalloc
 func (s *Switch) HandleRMBatch(items []RMItem, out []RMItem) []RMItem {
-	defer s.observeRenegLatency(s.renegStart())
+	defer s.ins.renegLatency.ObserveSince(s.ins.renegLatency.Start())
 	s.stats.batches.Add(1)
 	s.stats.batchCells.Add(int64(len(items)))
 	s.ins.batches.Inc()
@@ -978,7 +904,7 @@ func (s *Switch) HandleRMBatch(items []RMItem, out []RMItem) []RMItem {
 			chunk = chunk[:batchChunk]
 		}
 		for i := range chunk {
-			shards[i] = s.shard(MakeVCID(chunk[i].VPI, chunk[i].VCI))
+			shards[i] = s.shard(chunk[i].ID)
 		}
 		// pending tracks items not yet applied; a shift of 64 is defined as 0
 		// in Go, so a full chunk yields the all-ones mask.
@@ -996,12 +922,12 @@ func (s *Switch) HandleRMBatch(items []RMItem, out []RMItem) []RMItem {
 				if m.Backward || m.Response || !validRate(m.ER) {
 					continue
 				}
-				id := MakeVCID(chunk[j].VPI, chunk[j].VCI)
+				id := chunk[j].ID
 				vc := sh.vcs[id]
 				if vc == nil {
 					continue
 				}
-				out = append(out, RMItem{VPI: id.VPI(), VCI: id.VCI(), M: s.handleRMLocked(id, vc, m)})
+				out = append(out, RMItem{ID: id, M: s.handleRMLocked(id, vc, m)})
 			}
 			sh.mu.RUnlock()
 		}
@@ -1009,12 +935,7 @@ func (s *Switch) HandleRMBatch(items []RMItem, out []RMItem) []RMItem {
 	return out
 }
 
-// VCRate returns the reserved rate of a VC (VPI 0).
-func (s *Switch) VCRate(vci uint16) (float64, error) {
-	return s.VCRateID(VCID(vci))
-}
-
-// VCRateID is VCRate addressing the full (VPI, VCI) space.
+// VCRateID returns the reserved rate of a VC.
 func (s *Switch) VCRateID(id VCID) (float64, error) {
 	sh := s.shard(id)
 	sh.mu.RLock()

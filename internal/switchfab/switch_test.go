@@ -20,10 +20,10 @@ func newTestSwitch(t *testing.T, capacity float64) *Switch {
 
 func TestSetupTeardown(t *testing.T) {
 	s := newTestSwitch(t, 1e6)
-	if err := s.Setup(10, 1, 300e3); err != nil {
+	if err := s.SetupID(10, 1, 300e3); err != nil {
 		t.Fatal(err)
 	}
-	if r, err := s.VCRate(10); err != nil || r != 300e3 {
+	if r, err := s.VCRateID(10); err != nil || r != 300e3 {
 		t.Fatalf("VCRate = %v, %v", r, err)
 	}
 	reserved, capacity, err := s.PortLoad(1)
@@ -33,7 +33,7 @@ func TestSetupTeardown(t *testing.T) {
 	if s.VCCount() != 1 {
 		t.Fatalf("VCCount = %d", s.VCCount())
 	}
-	if err := s.Teardown(10); err != nil {
+	if err := s.TeardownID(10); err != nil {
 		t.Fatal(err)
 	}
 	reserved, _, _ = s.PortLoad(1)
@@ -44,22 +44,22 @@ func TestSetupTeardown(t *testing.T) {
 
 func TestSetupErrors(t *testing.T) {
 	s := newTestSwitch(t, 1e6)
-	if err := s.Setup(1, 99, 1); !errors.Is(err, ErrNoPort) {
+	if err := s.SetupID(1, 99, 1); !errors.Is(err, ErrNoPort) {
 		t.Errorf("missing port: %v", err)
 	}
-	if err := s.Setup(1, 1, -5); !errors.Is(err, ErrInvalidRate) {
+	if err := s.SetupID(1, 1, -5); !errors.Is(err, ErrInvalidRate) {
 		t.Errorf("negative rate: %v", err)
 	}
-	if err := s.Setup(1, 1, 2e6); !errors.Is(err, ErrCapacity) {
+	if err := s.SetupID(1, 1, 2e6); !errors.Is(err, ErrCapacity) {
 		t.Errorf("over capacity: %v", err)
 	}
-	if err := s.Setup(1, 1, 1e5); err != nil {
+	if err := s.SetupID(1, 1, 1e5); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Setup(1, 1, 1e5); !errors.Is(err, ErrVCExists) {
+	if err := s.SetupID(1, 1, 1e5); !errors.Is(err, ErrVCExists) {
 		t.Errorf("duplicate VCI: %v", err)
 	}
-	if err := s.Teardown(42); !errors.Is(err, ErrNoVC) {
+	if err := s.TeardownID(42); !errors.Is(err, ErrNoVC) {
 		t.Errorf("missing VC: %v", err)
 	}
 	if err := s.AddPort(1, 1); !errors.Is(err, ErrPortExists) {
@@ -76,7 +76,7 @@ func TestAdmissionHook(t *testing.T) {
 	if err := s.AddPort(1, 1e6); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Setup(1, 1, 1e5); !errors.Is(err, ErrAdmission) {
+	if err := s.SetupID(1, 1, 1e5); !errors.Is(err, ErrAdmission) {
 		t.Fatalf("admission hook bypassed: %v", err)
 	}
 	if st := s.Stats(); st.SetupRejects != 1 {
@@ -86,14 +86,14 @@ func TestAdmissionHook(t *testing.T) {
 
 func TestRenegotiateGrantAndDeny(t *testing.T) {
 	s := newTestSwitch(t, 1e6)
-	if err := s.Setup(1, 1, 400e3); err != nil {
+	if err := s.SetupID(1, 1, 400e3); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Setup(2, 1, 400e3); err != nil {
+	if err := s.SetupID(2, 1, 400e3); err != nil {
 		t.Fatal(err)
 	}
 	// 800k reserved of 1M. VC 1 asks for 700k: needs 1.1M total -> deny.
-	granted, ok, err := s.Renegotiate(1, 700e3)
+	granted, ok, err := s.RenegotiateID(1, 700e3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,12 +101,12 @@ func TestRenegotiateGrantAndDeny(t *testing.T) {
 		t.Fatalf("deny expected, got granted=%v ok=%v", granted, ok)
 	}
 	// Ask for 500k: 900k total -> grant.
-	granted, ok, err = s.Renegotiate(1, 500e3)
+	granted, ok, err = s.RenegotiateID(1, 500e3)
 	if err != nil || !ok || granted != 500e3 {
 		t.Fatalf("grant expected: %v %v %v", granted, ok, err)
 	}
 	// Decrease always succeeds.
-	granted, ok, err = s.Renegotiate(2, 100e3)
+	granted, ok, err = s.RenegotiateID(2, 100e3)
 	if err != nil || !ok || granted != 100e3 {
 		t.Fatalf("decrease: %v %v %v", granted, ok, err)
 	}
@@ -118,20 +118,20 @@ func TestRenegotiateGrantAndDeny(t *testing.T) {
 
 func TestRenegotiateErrors(t *testing.T) {
 	s := newTestSwitch(t, 1e6)
-	if _, _, err := s.Renegotiate(9, 1); !errors.Is(err, ErrNoVC) {
+	if _, _, err := s.RenegotiateID(9, 1); !errors.Is(err, ErrNoVC) {
 		t.Errorf("missing VC: %v", err)
 	}
-	if err := s.Setup(1, 1, 1e5); err != nil {
+	if err := s.SetupID(1, 1, 1e5); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.Renegotiate(1, -1); !errors.Is(err, ErrInvalidRate) {
+	if _, _, err := s.RenegotiateID(1, -1); !errors.Is(err, ErrInvalidRate) {
 		t.Errorf("negative rate: %v", err)
 	}
 }
 
 func TestHandleRMDeltaUp(t *testing.T) {
 	s := newTestSwitch(t, 1e6)
-	if err := s.Setup(7, 1, 200e3); err != nil {
+	if err := s.SetupID(7, 1, 200e3); err != nil {
 		t.Fatal(err)
 	}
 	h := cell.Header{VCI: 7, PTI: cell.PTIRM}
@@ -145,14 +145,14 @@ func TestHandleRMDeltaUp(t *testing.T) {
 	if math.Abs(resp.ER-300e3) > 1 {
 		t.Fatalf("granted rate = %v, want 300e3", resp.ER)
 	}
-	if r, _ := s.VCRate(7); math.Abs(r-300e3) > 1 {
+	if r, _ := s.VCRateID(7); math.Abs(r-300e3) > 1 {
 		t.Fatalf("VC rate = %v", r)
 	}
 }
 
 func TestHandleRMDeltaDown(t *testing.T) {
 	s := newTestSwitch(t, 1e6)
-	if err := s.Setup(7, 1, 200e3); err != nil {
+	if err := s.SetupID(7, 1, 200e3); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := s.HandleRM(cell.Header{VCI: 7}, cell.RM{ER: 150e3, Decrease: true})
@@ -171,10 +171,10 @@ func TestHandleRMDeltaDown(t *testing.T) {
 
 func TestHandleRMDeny(t *testing.T) {
 	s := newTestSwitch(t, 500e3)
-	if err := s.Setup(1, 1, 300e3); err != nil {
+	if err := s.SetupID(1, 1, 300e3); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Setup(2, 1, 150e3); err != nil {
+	if err := s.SetupID(2, 1, 150e3); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := s.HandleRM(cell.Header{VCI: 1}, cell.RM{ER: 200e3})
@@ -188,21 +188,21 @@ func TestHandleRMDeny(t *testing.T) {
 	if math.Abs(resp.ER-300e3) > 1 {
 		t.Fatalf("denied reply ER = %v, want current 300e3", resp.ER)
 	}
-	if r, _ := s.VCRate(1); r != 300e3 {
+	if r, _ := s.VCRateID(1); r != 300e3 {
 		t.Fatalf("rate changed on denial: %v", r)
 	}
 }
 
 func TestHandleRMResync(t *testing.T) {
 	s := newTestSwitch(t, 1e6)
-	if err := s.Setup(3, 1, 100e3); err != nil {
+	if err := s.SetupID(3, 1, 100e3); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := s.HandleRM(cell.Header{VCI: 3}, cell.RM{ER: 250e3, Resync: true})
 	if err != nil || resp.Deny {
 		t.Fatalf("resync: %+v %v", resp, err)
 	}
-	if r, _ := s.VCRate(3); math.Abs(r-250e3) > 1 {
+	if r, _ := s.VCRateID(3); math.Abs(r-250e3) > 1 {
 		t.Fatalf("rate after resync = %v", r)
 	}
 	if st := s.Stats(); st.Resyncs != 1 {
@@ -213,7 +213,7 @@ func TestHandleRMResync(t *testing.T) {
 	if err != nil || !resp.Deny {
 		t.Fatalf("oversubscribing resync not denied: %+v %v", resp, err)
 	}
-	if r, _ := s.VCRate(3); math.Abs(r-250e3) > 1 {
+	if r, _ := s.VCRateID(3); math.Abs(r-250e3) > 1 {
 		t.Fatalf("rate after denied resync = %v", r)
 	}
 }
@@ -223,7 +223,7 @@ func TestHandleRMErrors(t *testing.T) {
 	if _, err := s.HandleRM(cell.Header{VCI: 9}, cell.RM{ER: 1}); !errors.Is(err, ErrNoVC) {
 		t.Errorf("missing VC: %v", err)
 	}
-	if err := s.Setup(1, 1, 1e5); err != nil {
+	if err := s.SetupID(1, 1, 1e5); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.HandleRM(cell.Header{VCI: 1}, cell.RM{Backward: true}); err == nil {
@@ -241,7 +241,7 @@ func TestHandleRMErrors(t *testing.T) {
 // bypass the check entirely (legacy unsequenced senders).
 func TestHandleRMSequenceSemantics(t *testing.T) {
 	s := newTestSwitch(t, 1e6)
-	if err := s.Setup(5, 1, 100e3); err != nil {
+	if err := s.SetupID(5, 1, 100e3); err != nil {
 		t.Fatal(err)
 	}
 	h := cell.Header{VCI: 5, PTI: cell.PTIRM}
@@ -270,7 +270,7 @@ func TestHandleRMSequenceSemantics(t *testing.T) {
 	if resp, err := s.HandleRM(h, cell.RM{ER: 100e3, Seq: 2}); err != nil || resp.Deny || math.Abs(resp.ER-300e3) > 1 {
 		t.Fatalf("dup at lastSeq: %+v %v", resp, err)
 	}
-	if r, _ := s.VCRate(5); math.Abs(r-300e3) > 1 {
+	if r, _ := s.VCRateID(5); math.Abs(r-300e3) > 1 {
 		t.Fatalf("rate after duplicates = %v, want 300e3", r)
 	}
 	st := s.Stats()
@@ -293,7 +293,7 @@ func TestHandleRMResyncResetsSequence(t *testing.T) {
 	// first cell is a resync (absolute rate), which must both apply and
 	// reset the switch's sequence state so the restarted numbering works.
 	s := newTestSwitch(t, 1e6)
-	if err := s.Setup(8, 1, 100e3); err != nil {
+	if err := s.SetupID(8, 1, 100e3); err != nil {
 		t.Fatal(err)
 	}
 	h := cell.Header{VCI: 8, PTI: cell.PTIRM}
@@ -304,7 +304,7 @@ func TestHandleRMResyncResetsSequence(t *testing.T) {
 	if resp, err := s.HandleRM(h, cell.RM{ER: 150e3, Resync: true, Seq: 1}); err != nil || resp.Deny {
 		t.Fatalf("restart resync: %+v %v", resp, err)
 	}
-	if r, _ := s.VCRate(8); math.Abs(r-150e3) > 1 {
+	if r, _ := s.VCRateID(8); math.Abs(r-150e3) > 1 {
 		t.Fatalf("rate after restart resync = %v", r)
 	}
 	// And its next delta (Seq 2) is fresh, not a duplicate of the old epoch.
@@ -320,7 +320,7 @@ func TestHandleRMSeqZeroBypassesCheck(t *testing.T) {
 	// Seq 0 marks an unsequenced sender: repeated Seq-0 deltas all apply
 	// and never disturb the sequence state of sequenced traffic.
 	s := newTestSwitch(t, 1e6)
-	if err := s.Setup(6, 1, 100e3); err != nil {
+	if err := s.SetupID(6, 1, 100e3); err != nil {
 		t.Fatal(err)
 	}
 	h := cell.Header{VCI: 6, PTI: cell.PTIRM}
@@ -329,7 +329,7 @@ func TestHandleRMSeqZeroBypassesCheck(t *testing.T) {
 			t.Fatalf("seq-0 delta %d: %+v %v", i, resp, err)
 		}
 	}
-	if r, _ := s.VCRate(6); math.Abs(r-400e3) > 1 {
+	if r, _ := s.VCRateID(6); math.Abs(r-400e3) > 1 {
 		t.Fatalf("rate after three unsequenced deltas = %v, want 400e3", r)
 	}
 	// Interleave a sequenced delta, then another Seq-0: both apply.
@@ -353,26 +353,26 @@ func TestConcurrentRenegotiationsRespectCapacity(t *testing.T) {
 	)
 	s := newTestSwitch(t, capacity)
 	for i := 0; i < vcs; i++ {
-		if err := s.Setup(uint16(i), 1, low); err != nil {
+		if err := s.SetupID(VCID(i), 1, low); err != nil {
 			t.Fatal(err)
 		}
 	}
 	var wg sync.WaitGroup
 	for i := 0; i < vcs; i++ {
 		wg.Add(1)
-		go func(vci uint16) {
+		go func(vci VCID) {
 			defer wg.Done()
 			for k := 0; k < 100; k++ {
-				if _, _, err := s.Renegotiate(vci, high); err != nil {
+				if _, _, err := s.RenegotiateID(vci, high); err != nil {
 					t.Error(err)
 					return
 				}
-				if _, _, err := s.Renegotiate(vci, low); err != nil {
+				if _, _, err := s.RenegotiateID(vci, low); err != nil {
 					t.Error(err)
 					return
 				}
 			}
-		}(uint16(i))
+		}(VCID(i))
 	}
 	wg.Wait()
 	reserved, cap2, err := s.PortLoad(1)
@@ -392,7 +392,7 @@ func TestConcurrentRenegotiationsRespectCapacity(t *testing.T) {
 func TestEndToEndCellPath(t *testing.T) {
 	// Round-trip through real encoded cells: build, parse, handle, reply.
 	s := newTestSwitch(t, 1e6)
-	if err := s.Setup(21, 1, 128e3); err != nil {
+	if err := s.SetupID(21, 1, 128e3); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := cell.Build(cell.Header{VCI: 21}, cell.RM{ER: 64e3, Seq: 1})
@@ -424,15 +424,15 @@ func TestEndToEndCellPath(t *testing.T) {
 
 func TestRenegotiateBest(t *testing.T) {
 	s := newTestSwitch(t, 1e6)
-	if err := s.Setup(1, 1, 300e3); err != nil {
+	if err := s.SetupID(1, 1, 300e3); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Setup(2, 1, 500e3); err != nil {
+	if err := s.SetupID(2, 1, 500e3); err != nil {
 		t.Fatal(err)
 	}
 	// 800k reserved of 1M; VC 1 asks for 600k but only 200k headroom is
 	// left, so the best grant is 500k.
-	granted, full, err := s.RenegotiateBest(1, 600e3)
+	granted, full, err := s.RenegotiateBestID(1, 600e3)
 	if err != nil || full || granted != 500e3 {
 		t.Fatalf("partial expected: granted=%v full=%v err=%v", granted, full, err)
 	}
@@ -440,17 +440,17 @@ func TestRenegotiateBest(t *testing.T) {
 		t.Fatalf("reserved after partial = %v", reserved)
 	}
 	// Zero headroom now: an increase is flatly denied, rate unchanged.
-	granted, full, err = s.RenegotiateBest(2, 600e3)
+	granted, full, err = s.RenegotiateBestID(2, 600e3)
 	if err != nil || full || granted != 500e3 {
 		t.Fatalf("flat denial expected: granted=%v full=%v err=%v", granted, full, err)
 	}
 	// Decreases always settle in full.
-	granted, full, err = s.RenegotiateBest(2, 100e3)
+	granted, full, err = s.RenegotiateBestID(2, 100e3)
 	if err != nil || !full || granted != 100e3 {
 		t.Fatalf("decrease: granted=%v full=%v err=%v", granted, full, err)
 	}
 	// With 400k headroom the full target fits again.
-	granted, full, err = s.RenegotiateBest(1, 700e3)
+	granted, full, err = s.RenegotiateBestID(1, 700e3)
 	if err != nil || !full || granted != 700e3 {
 		t.Fatalf("full grant: granted=%v full=%v err=%v", granted, full, err)
 	}
@@ -468,13 +468,13 @@ func TestRenegotiateBest(t *testing.T) {
 
 func TestRenegotiateBestErrors(t *testing.T) {
 	s := newTestSwitch(t, 1e6)
-	if _, _, err := s.RenegotiateBest(9, 1); !errors.Is(err, ErrNoVC) {
+	if _, _, err := s.RenegotiateBestID(9, 1); !errors.Is(err, ErrNoVC) {
 		t.Errorf("missing VC: %v", err)
 	}
-	if err := s.Setup(1, 1, 1e5); err != nil {
+	if err := s.SetupID(1, 1, 1e5); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.RenegotiateBest(1, -1); !errors.Is(err, ErrInvalidRate) {
+	if _, _, err := s.RenegotiateBestID(1, -1); !errors.Is(err, ErrInvalidRate) {
 		t.Errorf("negative rate: %v", err)
 	}
 }

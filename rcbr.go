@@ -317,9 +317,9 @@ func WithSignalMetrics(reg *MetricsRegistry) SignalClientOption {
 }
 
 // WithSignalBatchWindow makes a SignalClient coalesce renegotiations that
-// arrive within d of each other into one batch RM frame (framing v3, up to
-// 32 cells). Against a pre-batch peer the client falls back to per-VC
-// resyncs, so the option is safe against any switch. Zero disables
+// arrive within d of each other into one batch RM frame (up to 32 cells).
+// Against a peer that never answers batch frames the client falls back to
+// per-VC resyncs, so the option never changes outcomes. Zero disables
 // coalescing (the default).
 func WithSignalBatchWindow(d time.Duration) SignalClientOption {
 	return netproto.WithBatchWindow(d)

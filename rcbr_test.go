@@ -254,8 +254,8 @@ func TestSwitchMemoryAdmitter(t *testing.T) {
 	if err := sw.AddPort(1, 10e6); err != nil {
 		t.Fatal(err)
 	}
-	for vci := uint16(1); vci <= 2; vci++ {
-		if err := sw.Setup(vci, 1, 4e6); err != nil {
+	for id := rcbr.VCID(1); id <= 2; id++ {
+		if err := sw.SetupID(id, 1, 4e6); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -263,11 +263,11 @@ func TestSwitchMemoryAdmitter(t *testing.T) {
 		t.Fatalf("admitter tracks %d calls, want 2", got)
 	}
 	time.Sleep(time.Millisecond) // accrue dwell history at 4 Mb/s per call
-	if err := sw.Setup(3, 1, 64e3); !rcbr.IsCapacityError(err) {
+	if err := sw.SetupID(3, 1, 64e3); !rcbr.IsCapacityError(err) {
 		t.Fatalf("third call: err = %v, want an admission denial", err)
 	}
-	for vci := uint16(1); vci <= 2; vci++ {
-		if err := sw.Teardown(vci); err != nil {
+	for id := rcbr.VCID(1); id <= 2; id++ {
+		if err := sw.TeardownID(id); err != nil {
 			t.Fatal(err)
 		}
 	}
