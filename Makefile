@@ -52,11 +52,14 @@ race:
 	$(MAKE) race-parallel
 
 # race-parallel covers the experiment sweep runner's worker pool, plus the
-# sharded-fabric churn shim behind the scaling benchmarks. The datapath
-# line pins GOMAXPROCS=4 so the forwarder, producers and transmitters truly
+# sharded-fabric churn shim behind the scaling benchmarks. The Sweep tests
+# run 200 times (about 1.5 s): a broken skip rule loses "lowest failing
+# index wins" only in some interleavings. The datapath line pins
+# GOMAXPROCS=4 so the forwarder, producers and transmitters truly
 # interleave under the detector even on smaller CI runners.
 race-parallel:
-	$(GO) test -race -run 'Sweep|Fig|MBAC|Latency|Chernoff' ./internal/experiments/
+	$(GO) test -race -run '^TestSweep' -count=200 ./internal/experiments/
+	$(GO) test -race -run 'Fig|MBAC|Latency|Chernoff' ./internal/experiments/
 	$(GO) test -race -run 'Parallel' ./internal/switchfab/
 	GOMAXPROCS=4 $(GO) test -race -run 'Conservation|Storm|Ring' ./internal/datapath/
 

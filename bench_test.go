@@ -458,7 +458,7 @@ func benchMeshRenegotiate(b *testing.B, nHops int) {
 	names := make([]string, nHops+1)
 	for i := 0; i < nHops; i++ {
 		names[i] = "s" + strconv.Itoa(i)
-		if err := m.AddSwitch(names[i], switchfab.New(nil)); err != nil {
+		if err := m.AddSwitch(names[i], switchfab.New()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -591,7 +591,7 @@ func BenchmarkFabricRMBatch(b *testing.B) {
 }
 
 func BenchmarkSwitchHandleRM(b *testing.B) {
-	sw := switchfab.New(nil)
+	sw := switchfab.New()
 	if err := sw.AddPort(1, 155e6); err != nil {
 		b.Fatal(err)
 	}

@@ -36,7 +36,7 @@ func main() {
 		src.Duration(), src.MeanRate())
 
 	// Switch + signaling plane.
-	sw := switchfab.New(nil)
+	sw := switchfab.New()
 	if err := sw.AddPort(portID, linkCapacity); err != nil {
 		log.Fatal(err)
 	}

@@ -49,7 +49,7 @@ func main() {
 		100*sch.BandwidthEfficiency(movie))
 
 	// An RCBR switch with one 155 Mb/s port, reachable over UDP loopback.
-	sw := switchfab.New(nil)
+	sw := switchfab.New()
 	if err := sw.AddPort(portID, 155e6); err != nil {
 		log.Fatal(err)
 	}

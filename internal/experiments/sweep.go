@@ -15,12 +15,15 @@ import (
 //
 // workers <= 1 runs serially on the calling goroutine; larger values run a
 // bounded pool of that many goroutines (never more than n). The sweep is
-// fail-fast: the first error cancels the context passed to fn, un-started
-// indices are skipped, and after all in-flight calls drain the error with
-// the lowest index is returned — so the reported failure is deterministic
-// even though goroutine scheduling is not. Cancellation of the parent ctx
-// stops the sweep the same way and surfaces ctx's error when no fn call
-// failed on its own.
+// fail-fast: the first error cancels the context passed to fn, and an index
+// claimed after a failure is skipped only when it lies above the lowest
+// failing index recorded so far. After all in-flight calls drain, the real
+// (non-cancellation) error with the lowest index is returned, and every
+// index below it ran — so the reported failure is deterministic even though
+// goroutine scheduling is not. (A lower index that starts after the first
+// failure still sees the cancelled context.) Cancellation of the parent ctx
+// stops the sweep and surfaces ctx's error when no fn call failed on its
+// own.
 func Sweep[R any](ctx context.Context, workers, n int, fn func(ctx context.Context, i int) (R, error)) ([]R, error) {
 	if n <= 0 {
 		return nil, nil
@@ -46,20 +49,29 @@ func Sweep[R any](ctx context.Context, workers, n int, fn func(ctx context.Conte
 	sctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	errs := make([]error, n)
-	var next atomic.Int64
+	var next, lowFail atomic.Int64
+	lowFail.Store(int64(n))
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
+				// Indices are claimed in increasing order, so once one lies
+				// above the lowest failure every later claim does too.
 				i := int(next.Add(1)) - 1
-				if i >= n || sctx.Err() != nil {
+				if i >= n || int64(i) > lowFail.Load() || ctx.Err() != nil {
 					return
 				}
 				r, err := fn(sctx, i)
 				if err != nil {
 					errs[i] = err
+					for {
+						cur := lowFail.Load()
+						if int64(i) >= cur || lowFail.CompareAndSwap(cur, int64(i)) {
+							break
+						}
+					}
 					cancel()
 					return
 				}

@@ -184,9 +184,8 @@ func (m *Mesh) AddSwitch(name string, sw *switchfab.Switch) error {
 	return m.addNode(name, SwitchTransport{Switch: sw})
 }
 
-// AddTransport registers a node reached through an arbitrary Transport —
-// typically a ClientTransport wrapping a netproto connection to a remote
-// switch.
+// AddTransport registers a node reached through an arbitrary Transport,
+// such as a test fake that delays or fails a hop.
 func (m *Mesh) AddTransport(name string, tr Transport) error {
 	if tr == nil {
 		return fmt.Errorf("mesh: nil transport for node %q", name)

@@ -19,7 +19,7 @@ func line(t *testing.T, nHops int, capacity float64, delay time.Duration, opts .
 	names := make([]string, 0, nHops+1)
 	for i := 0; i < nHops; i++ {
 		name := string(rune('a' + i))
-		if err := m.AddSwitch(name, switchfab.New(nil)); err != nil {
+		if err := m.AddSwitch(name, switchfab.New()); err != nil {
 			t.Fatal(err)
 		}
 		names = append(names, name)
@@ -42,10 +42,10 @@ func line(t *testing.T, nHops int, capacity float64, delay time.Duration, opts .
 
 func TestTopologyErrors(t *testing.T) {
 	m := New()
-	if err := m.AddSwitch("a", switchfab.New(nil)); err != nil {
+	if err := m.AddSwitch("a", switchfab.New()); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.AddSwitch("a", switchfab.New(nil)); !errors.Is(err, ErrNodeExists) {
+	if err := m.AddSwitch("a", switchfab.New()); !errors.Is(err, ErrNodeExists) {
 		t.Errorf("duplicate node: %v", err)
 	}
 	if err := m.AddLink("a", "nope", 1, 1e6, 0); !errors.Is(err, ErrNoNode) {
@@ -281,7 +281,7 @@ func (f *failingTeardown) Teardown(ctx context.Context, id switchfab.VCID) error
 
 func TestTeardownAttemptsEveryHopAfterError(t *testing.T) {
 	m := New()
-	swA, swB, swC := switchfab.New(nil), switchfab.New(nil), switchfab.New(nil)
+	swA, swB, swC := switchfab.New(), switchfab.New(), switchfab.New()
 	flaky := &failingTeardown{Transport: SwitchTransport{Switch: swB}}
 	if err := swB.AddPort(1, 1e6); err != nil {
 		t.Fatal(err)
@@ -339,7 +339,7 @@ func TestHopTimeoutUnwedgesPath(t *testing.T) {
 	reg := metrics.NewRegistry()
 	ring := metrics.NewEventLog(64)
 	m := New(WithHopTimeout(25*time.Millisecond), WithMetrics(reg), WithEvents(ring))
-	swA, swB := switchfab.New(nil), switchfab.New(nil)
+	swA, swB := switchfab.New(), switchfab.New()
 	if err := swB.AddPort(1, 1e6); err != nil {
 		t.Fatal(err)
 	}

@@ -23,26 +23,23 @@
 //
 // Concurrency: a Path serializes its multi-hop transactions with a
 // channel-based semaphore, deliberately not a mutex — a transaction spans
-// propagation waits and (for netproto-backed hops) real network I/O, and
-// the repo's lockscope analyzer forbids holding a sync.Mutex across
-// either. The mesh's own mutex guards only the topology maps and is never
-// held across hop I/O. Per-switch locking is unchanged from switchfab
-// (setup mutex → shard → port); the mesh layer adds no lock that nests
-// inside those.
+// propagation waits and whatever blocking a hop's Transport does, and the
+// repo's lockscope analyzer forbids holding a sync.Mutex across either.
+// The mesh's own mutex guards only the topology maps and is never held
+// across hop I/O. Per-switch locking is unchanged from switchfab (shard →
+// port); the mesh layer adds no lock that nests inside those.
 package mesh
 
 import (
 	"context"
-	"errors"
-	"fmt"
 
-	"rcbr/internal/netproto"
 	"rcbr/internal/switchfab"
 )
 
 // Transport is one hop's signaling surface: the three verbs a path needs
-// from a switch, whether the switch is in-process or behind a netproto
-// connection. Implementations must be safe for concurrent use.
+// from a switch. SwitchTransport is the in-process implementation; tests
+// substitute fakes through AddTransport. Implementations must be safe for
+// concurrent use.
 type Transport interface {
 	// Setup reserves rate for the VC on the hop's egress port.
 	Setup(ctx context.Context, id switchfab.VCID, port int, rate float64) error
@@ -86,47 +83,4 @@ func (t SwitchTransport) Teardown(ctx context.Context, id switchfab.VCID) error 
 		return err
 	}
 	return t.Switch.TeardownID(id)
-}
-
-// ErrWireVPI is returned by ClientTransport for VCIDs outside VPI 0: the
-// wire setup/teardown frames carry a bare 16-bit VCI.
-var ErrWireVPI = errors.New("mesh: netproto transport addresses VPI 0 only")
-
-// ClientTransport adapts a netproto signaling client to the Transport
-// interface, making a remote switch usable as one hop of a path. Two wire
-// limits apply: only VPI 0 is addressable (the setup frame carries a bare
-// VCI), and the protocol has no partial-grant operation, so an increase
-// that does not fit is denied outright (granted = current, full = false)
-// rather than settled at the hop's best rate.
-type ClientTransport struct {
-	Client *netproto.Client
-}
-
-// Setup implements Transport.
-func (t ClientTransport) Setup(ctx context.Context, id switchfab.VCID, port int, rate float64) error {
-	if id.VPI() != 0 {
-		return fmt.Errorf("%w: %s", ErrWireVPI, id)
-	}
-	return t.Client.Setup(ctx, id.VCI(), port, rate)
-}
-
-// RenegotiateBest implements Transport; see the type comment for the
-// all-or-nothing fallback on increases.
-func (t ClientTransport) RenegotiateBest(ctx context.Context, id switchfab.VCID, current, target float64) (float64, bool, error) {
-	if id.VPI() != 0 {
-		return 0, false, fmt.Errorf("%w: %s", ErrWireVPI, id)
-	}
-	granted, ok, err := t.Client.Renegotiate(ctx, id.VCI(), current, target)
-	if err != nil {
-		return 0, false, err
-	}
-	return granted, ok && granted == target, nil
-}
-
-// Teardown implements Transport.
-func (t ClientTransport) Teardown(ctx context.Context, id switchfab.VCID) error {
-	if id.VPI() != 0 {
-		return fmt.Errorf("%w: %s", ErrWireVPI, id)
-	}
-	return t.Client.Teardown(ctx, id.VCI())
 }

@@ -23,7 +23,7 @@ func FuzzServerHandle(f *testing.F) {
 	}
 	f.Add([]byte{Magic, Version, TypeRMBatch, 0, 0, 0, 5, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sw := switchfab.New(nil)
+		sw := switchfab.New()
 		if err := sw.AddPort(1, 1e6); err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +82,7 @@ func FuzzDecodeRMBatch(f *testing.F) {
 	// the reserved mantissa bit 9 set.
 	f.Add([]byte{1, 0, 0, 1, 0, 0x12, 0x34, 0, 0, 0, 1})
 	f.Add([]byte{1, 0, 0, 1, 0, 0xA2, 0x00, 0, 0, 0, 1})
-	sw := switchfab.New(nil)
+	sw := switchfab.New()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := DecodeRMBatch(data, nil)
 		if err != nil {

@@ -120,7 +120,7 @@ func (p *lossyProxy) serverLoop() {
 }
 
 func TestRetriesSurvivePacketLoss(t *testing.T) {
-	sw := switchfab.New(nil)
+	sw := switchfab.New()
 	if err := sw.AddPort(1, 1e6); err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestDeltaNotAppliedTwiceUnderLoss(t *testing.T) {
 	// delta cannot be double-applied. Here we drop nothing on the wire but
 	// force a timeout on the first attempt by dropping exactly the first
 	// datagram after the setup exchange completes.
-	sw := switchfab.New(nil)
+	sw := switchfab.New()
 	if err := sw.AddPort(1, 10e6); err != nil {
 		t.Fatal(err)
 	}

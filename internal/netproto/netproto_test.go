@@ -104,7 +104,7 @@ var ctx = context.Background()
 // startServer spins up a switch + server on loopback.
 func startServer(t *testing.T, capacity float64) (*switchfab.Switch, *Server, *Client) {
 	t.Helper()
-	sw := switchfab.New(nil)
+	sw := switchfab.New()
 	if err := sw.AddPort(1, capacity); err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestIdempotentRetransmissions(t *testing.T) {
 
 func TestClientTimeout(t *testing.T) {
 	// Dial a black-hole address (a socket with no server reading).
-	hole, err := NewServer("127.0.0.1:0", switchfab.New(nil), nil)
+	hole, err := NewServer("127.0.0.1:0", switchfab.New(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestConcurrentClients(t *testing.T) {
 	// Find the live server address back from the switch test helper: start
 	// a fresh pair instead for clarity.
 	_ = sw
-	sw2 := switchfab.New(nil)
+	sw2 := switchfab.New()
 	if err := sw2.AddPort(1, 10e6); err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package switchfab
 import (
 	"errors"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -141,7 +142,7 @@ func TestSetupTeardownDrift(t *testing.T) {
 // TestVCsPage checks that pages concatenate to exactly the full sorted
 // listing, for page sizes that do and do not divide the population.
 func TestVCsPage(t *testing.T) {
-	s := New(nil, WithShards(8))
+	s := New(WithShards(8))
 	for p := 0; p < 4; p++ {
 		if err := s.AddPort(p, 1e9); err != nil {
 			t.Fatal(err)
@@ -197,27 +198,44 @@ func TestVCsPage(t *testing.T) {
 // countingLifecycle wraps a LifecycleAdmitter and counts every notification,
 // so a storm can assert the switch delivered exactly one OnAdmit per
 // successful setup and one OnDepart per teardown — no double-counted admits,
-// no leaked departures.
+// no leaked departures. It also pins the per-port serialization contract:
+// every callback marks its port in flight, yields to widen the window, and
+// counts an overlap if another callback for the same port is already
+// running.
 type countingLifecycle struct {
 	inner                        LifecycleAdmitter
 	admits, rateChanges, departs atomic.Int64
+	inFlight                     []atomic.Int32 // running callbacks, by port
+	overlaps                     atomic.Int64
+}
+
+func (c *countingLifecycle) enter(port int) func() {
+	if c.inFlight[port].Add(1) != 1 {
+		c.overlaps.Add(1)
+	}
+	runtime.Gosched()
+	return func() { c.inFlight[port].Add(-1) }
 }
 
 func (c *countingLifecycle) AdmitCall(port int, rate, reserved, capacity float64) bool {
+	defer c.enter(port)()
 	return c.inner.AdmitCall(port, rate, reserved, capacity)
 }
 
 func (c *countingLifecycle) OnAdmit(port int, id VCID, rate float64) {
+	defer c.enter(port)()
 	c.admits.Add(1)
 	c.inner.OnAdmit(port, id, rate)
 }
 
 func (c *countingLifecycle) OnRateChange(port int, id VCID, oldRate, newRate float64) {
+	defer c.enter(port)()
 	c.rateChanges.Add(1)
 	c.inner.OnRateChange(port, id, oldRate, newRate)
 }
 
 func (c *countingLifecycle) OnDepart(port int, id VCID, rate float64) {
+	defer c.enter(port)()
 	c.departs.Add(1)
 	c.inner.OnDepart(port, id, rate)
 }
@@ -225,16 +243,17 @@ func (c *countingLifecycle) OnDepart(port int, id VCID, rate float64) {
 // TestParallelSetupChurnStorm hammers setup/renegotiate/teardown from many
 // goroutines across ports and shards with the stateful memory admitter
 // installed. Run under -race (the Makefile's race target does), this is the
-// proof that removing the global setup mutex kept the stateful-admission
-// path correct: lifecycle notifications balance operations exactly and the
-// fabric drains to zero everywhere.
+// proof that the port mutex alone keeps the stateful-admission path
+// correct: admitter callbacks for one port never overlap, lifecycle
+// notifications balance operations exactly and the fabric drains to zero
+// everywhere.
 func TestParallelSetupChurnStorm(t *testing.T) {
 	const ports = 8
 	inner, err := NewMemoryAdmitter([]float64{64e3, 512e3, 1e6, 2e6, 4e6}, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	counter := &countingLifecycle{inner: inner}
+	counter := &countingLifecycle{inner: inner, inFlight: make([]atomic.Int32, ports)}
 	s := New(WithAdmitter(counter), WithShards(64))
 	for p := 0; p < ports; p++ {
 		if err := s.AddPort(p, 1e12); err != nil { // capacity out of the way: exercise accounting, not blocking
@@ -293,6 +312,9 @@ func TestParallelSetupChurnStorm(t *testing.T) {
 	wg.Wait()
 	if t.Failed() {
 		return
+	}
+	if n := counter.overlaps.Load(); n != 0 {
+		t.Errorf("%d admitter callbacks overlapped another on the same port", n)
 	}
 	if got := counter.admits.Load(); got != setups.Load() {
 		t.Errorf("OnAdmit count %d != successful setups %d", got, setups.Load())

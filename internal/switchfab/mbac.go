@@ -91,7 +91,7 @@ func (a *MemoryAdmitter) lookup(port int) *portMBAC {
 	return pa
 }
 
-// AdmitCall implements Admitter.
+// AdmitCall implements LifecycleAdmitter.
 func (a *MemoryAdmitter) AdmitCall(port int, rate, _, capacity float64) bool {
 	pa := a.portState(port, capacity)
 	if pa == nil {

@@ -26,13 +26,9 @@
 // teardown from freeing a VC out from under an in-flight RM cell. Setups on
 // different ports run concurrently: the admission decision and the
 // reservation update happen under the one port's mutex, so admission state
-// shards with the fabric. A LifecycleAdmitter is invoked with the VC's port
-// mutex held — per-port serialization is the concurrency contract its
-// implementations rely on — while a legacy plain Admitter is additionally
-// serialized under an internal admit mutex (acquired after the port mutex,
-// released before any other lock is taken), preserving the old
-// never-concurrent contract those implementations were written against.
-// Activity counters are atomics.
+// shards with the fabric. The LifecycleAdmitter is invoked with the VC's
+// port mutex held — per-port serialization is the one concurrency contract
+// its implementations rely on. Activity counters are atomics.
 //
 // VC identifiers: the paper's switch is an ATM switch, so a VC is named by
 // the cell header's (VPI, VCI) pair — 24 bits, far past the 65,536 circuits
@@ -110,40 +106,22 @@ func (id VCID) String() string {
 	return fmt.Sprintf("%d.%d", id.VPI(), id.VCI())
 }
 
-// Admitter is the call-admission hook consulted at setup time (never during
-// renegotiation). Implementations may be stateful; the switch serializes
-// calls under an internal admit mutex, so a plain Admitter never runs
-// concurrently with itself — but it also serializes setups across ports.
-// Implementations that want setups on different ports to proceed in
-// parallel should implement LifecycleAdmitter instead.
-type Admitter interface {
-	// AdmitCall reports whether a new call asking for rate bits/second may
-	// enter a port with the given reserved and capacity figures.
-	AdmitCall(port int, rate, reserved, capacity float64) bool
-}
-
-// AdmitterFunc adapts a function to the Admitter interface.
-type AdmitterFunc func(port int, rate, reserved, capacity float64) bool
-
-// AdmitCall implements Admitter.
-func (f AdmitterFunc) AdmitCall(port int, rate, reserved, capacity float64) bool {
-	return f(port, rate, reserved, capacity)
-}
-
-// LifecycleAdmitter is a call-admission policy that additionally observes the
-// full life of every admitted call, mirroring admission.Controller: admit,
-// rate changes from granted renegotiations, and departure. It is the
-// interface a measurement-based scheme (the paper's Section VI) needs to
-// maintain per-call bandwidth history inside a live switch.
+// LifecycleAdmitter is the call-admission policy consulted at setup time
+// (never during renegotiation). It also observes the full life of every
+// admitted call, mirroring admission.Controller: admit, rate changes from
+// granted renegotiations, and departure. That is what a measurement-based
+// scheme (the paper's Section VI) needs to maintain per-call bandwidth
+// history inside a live switch.
 //
 // Concurrency contract: the switch invokes every method with the affected
 // VC's port mutex held, so calls for the same port are serialized while
 // calls for different ports run concurrently. Implementations therefore
 // shard their state per port (see MemoryAdmitter) and must not call back
-// into the switch. Unlike a plain Admitter, no global admit mutex is taken —
-// this is what lets setups on different ports proceed in parallel.
+// into the switch.
 type LifecycleAdmitter interface {
-	Admitter
+	// AdmitCall reports whether a new call asking for rate bits/second may
+	// enter a port with the given reserved and capacity figures.
+	AdmitCall(port int, rate, reserved, capacity float64) bool
 	// OnAdmit notifies that VC id entered port at the given rate, after
 	// AdmitCall said yes and the reservation was applied.
 	OnAdmit(port int, id VCID, rate float64)
@@ -302,7 +280,7 @@ const (
 	// MetricSetupLatency observes the wall time of every SetupID call past
 	// argument validation — accept, capacity reject and admission reject
 	// alike — and MetricAdmitLatency the admission decision alone (recorded
-	// only when an Admitter is installed), so setup cost and admit-decision
+	// only when an admitter is installed), so setup cost and admit-decision
 	// cost separate cleanly under churn.
 	MetricSetupLatency = "switch.setup_seconds"
 	MetricAdmitLatency = "switch.admit_seconds"
@@ -341,23 +319,13 @@ type Switch struct {
 	portMu sync.RWMutex
 	ports  map[int]*port
 
-	// admitMu serializes AdmitCall on a legacy plain Admitter so a stateful
-	// implementation never runs concurrently with itself, exactly as under
-	// the old global setup lock. It is acquired with the admitting port's
-	// mutex held and released before anything else, and is never taken when
-	// the admitter implements LifecycleAdmitter (whose contract is per-port
-	// serialization instead).
-	admitMu sync.Mutex
 	// maxShardVCs is the high-water occupancy of the fullest shard,
 	// maintained by CAS — setups on different ports race to update it.
 	maxShardVCs atomic.Int64
 
 	vcCount atomic.Int64
 
-	admitter Admitter
-	// lifecycle is admitter's LifecycleAdmitter form, resolved once at
-	// construction so the setup path never repeats the type assertion.
-	lifecycle LifecycleAdmitter
+	admitter LifecycleAdmitter
 	// dataplane, when set, receives every committed VC lifecycle change.
 	dataplane DataPlane
 	stats     statCounters
@@ -367,14 +335,12 @@ type Switch struct {
 	events *metrics.EventLog
 }
 
-// Option configures a Switch at construction time. A nil Option is ignored,
-// so legacy call sites passing a nil admitter positionally (New(nil)) keep
-// compiling and behaving as before.
+// Option configures a Switch at construction time.
 type Option func(*Switch)
 
 // WithAdmitter installs the call-admission policy consulted at setup time.
 // A nil admitter (the default) admits every call that fits within capacity.
-func WithAdmitter(a Admitter) Option {
+func WithAdmitter(a LifecycleAdmitter) Option {
 	return func(s *Switch) { s.admitter = a }
 }
 
@@ -425,9 +391,7 @@ func New(opts ...Option) *Switch {
 		ports: make(map[int]*port),
 	}
 	for _, opt := range opts {
-		if opt != nil {
-			opt(s)
-		}
+		opt(s)
 	}
 	if s.shards == nil {
 		s.shards = make([]shard, DefaultShards)
@@ -436,7 +400,6 @@ func New(opts ...Option) *Switch {
 	for i := range s.shards {
 		s.shards[i].vcs = make(map[VCID]*vcState)
 	}
-	s.lifecycle, _ = s.admitter.(LifecycleAdmitter)
 	if s.reg != nil {
 		s.ins = instruments{
 			setups:          s.reg.Counter(MetricSetups),
@@ -568,8 +531,8 @@ func (s *Switch) SetupID(id VCID, portID int, rate float64) error {
 	}
 	s.setReserved(p, p.reserved+rate)
 	sh.vcs[id] = &vcState{p: p, rate: rate}
-	if s.lifecycle != nil {
-		s.lifecycle.OnAdmit(portID, id, rate)
+	if s.admitter != nil {
+		s.admitter.OnAdmit(portID, id, rate)
 	}
 	if s.dataplane != nil {
 		s.dataplane.OnSetup(portID, id, rate)
@@ -583,17 +546,9 @@ func (s *Switch) SetupID(id VCID, portID int, rate float64) error {
 }
 
 // admitCall runs the admission decision with the admitting port's mutex
-// held, timing it into switch.admit_seconds. A LifecycleAdmitter relies on
-// exactly that per-port serialization; a legacy plain Admitter is
-// additionally serialized under admitMu so stateful implementations keep
-// the old never-concurrent contract.
+// held, timing it into switch.admit_seconds.
 func (s *Switch) admitCall(portID int, rate, reserved, capacity float64) bool {
 	defer s.ins.admitLatency.ObserveSince(s.ins.admitLatency.Start())
-	if s.lifecycle != nil {
-		return s.admitter.AdmitCall(portID, rate, reserved, capacity)
-	}
-	s.admitMu.Lock()
-	defer s.admitMu.Unlock()
 	return s.admitter.AdmitCall(portID, rate, reserved, capacity)
 }
 
@@ -637,8 +592,8 @@ func (s *Switch) TeardownID(id VCID) error {
 	p := vc.p
 	p.mu.Lock()
 	s.setReserved(p, p.reserved-vc.rate)
-	if s.lifecycle != nil {
-		s.lifecycle.OnDepart(p.id, id, vc.rate)
+	if s.admitter != nil {
+		s.admitter.OnDepart(p.id, id, vc.rate)
 	}
 	if s.dataplane != nil {
 		s.dataplane.OnTeardown(p.id, id)
@@ -751,8 +706,8 @@ func (s *Switch) applyRate(id VCID, vc *vcState, p *port, newRate, requested flo
 		old := vc.rate
 		s.setReserved(p, p.reserved+newRate-old)
 		vc.rate = newRate
-		if s.lifecycle != nil && newRate != old {
-			s.lifecycle.OnRateChange(p.id, id, old, newRate)
+		if s.admitter != nil && newRate != old {
+			s.admitter.OnRateChange(p.id, id, old, newRate)
 		}
 		if s.dataplane != nil && newRate != old {
 			s.dataplane.OnRateChange(p.id, id, newRate)

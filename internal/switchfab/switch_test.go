@@ -11,7 +11,7 @@ import (
 
 func newTestSwitch(t *testing.T, capacity float64) *Switch {
 	t.Helper()
-	s := New(nil)
+	s := New()
 	if err := s.AddPort(1, capacity); err != nil {
 		t.Fatal(err)
 	}
@@ -70,9 +70,18 @@ func TestSetupErrors(t *testing.T) {
 	}
 }
 
+// rejectAll is a LifecycleAdmitter that refuses every call and counts the
+// OnAdmit notifications it should never receive.
+type rejectAll struct{ admits int }
+
+func (*rejectAll) AdmitCall(int, float64, float64, float64) bool { return false }
+func (r *rejectAll) OnAdmit(int, VCID, float64)                  { r.admits++ }
+func (*rejectAll) OnRateChange(int, VCID, float64, float64)      {}
+func (*rejectAll) OnDepart(int, VCID, float64)                   {}
+
 func TestAdmissionHook(t *testing.T) {
-	rejectAll := AdmitterFunc(func(int, float64, float64, float64) bool { return false })
-	s := New(WithAdmitter(rejectAll))
+	adm := &rejectAll{}
+	s := New(WithAdmitter(adm))
 	if err := s.AddPort(1, 1e6); err != nil {
 		t.Fatal(err)
 	}
@@ -81,6 +90,9 @@ func TestAdmissionHook(t *testing.T) {
 	}
 	if st := s.Stats(); st.SetupRejects != 1 {
 		t.Fatalf("SetupRejects = %d", st.SetupRejects)
+	}
+	if adm.admits != 0 {
+		t.Fatalf("OnAdmit called %d times for a rejected call", adm.admits)
 	}
 }
 

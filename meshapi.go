@@ -28,9 +28,8 @@ type (
 	// Hop is one switch of a resolved route, bound to its egress port and
 	// inbound link delay.
 	Hop = mesh.Hop
-	// HopTransport is the per-hop signaling surface a Mesh drives: an
-	// in-process switch (mesh.SwitchTransport) or a netproto signaling
-	// client (mesh.ClientTransport).
+	// HopTransport is the per-hop signaling surface a Mesh drives; SwitchHop
+	// adapts an in-process switch to it.
 	HopTransport = mesh.Transport
 	// MeshLink describes one directed link of a Mesh topology.
 	MeshLink = mesh.Link
@@ -68,11 +67,6 @@ func WithMeshDelayScale(s float64) MeshOption { return mesh.WithDelayScale(s) }
 // SwitchHop adapts an in-process Switch into a HopTransport, for building
 // hops outside a registered topology (NewMeshHop).
 func SwitchHop(sw *Switch) HopTransport { return mesh.SwitchTransport{Switch: sw} }
-
-// ClientHop adapts a signaling client into a HopTransport, making a
-// remote switch usable as one hop of a path. The wire protocol addresses
-// VPI 0 only and has no partial-grant operation; see mesh.ClientTransport.
-func ClientHop(c *SignalClient) HopTransport { return mesh.ClientTransport{Client: c} }
 
 // NewMeshHop builds one hop directly from a transport, an egress port,
 // and the inbound link delay; Mesh.Route is the usual way to obtain hops.

@@ -22,7 +22,7 @@ func TestMeshFacade(t *testing.T) {
 		rcbr.WithMeshDelayScale(0),
 	)
 	for _, name := range []string{"ingress", "core", "egress"} {
-		if err := m.AddSwitch(name, rcbr.NewSwitch(nil)); err != nil {
+		if err := m.AddSwitch(name, rcbr.NewSwitch()); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -117,11 +117,9 @@ type (
 	Switch = switchfab.Switch
 	// SwitchOption configures a Switch at construction.
 	SwitchOption = switchfab.Option
-	// Admitter is the call-admission hook consulted at setup time.
-	Admitter = switchfab.Admitter
-	// LifecycleAdmitter extends Admitter with rate-change and departure
-	// notifications so a stateful policy (e.g. the live memory-based
-	// MBAC) can track the calls it admitted.
+	// LifecycleAdmitter is the call-admission policy consulted at setup
+	// time; its rate-change and departure notifications let a stateful
+	// policy (e.g. the live memory-based MBAC) track the calls it admitted.
 	LifecycleAdmitter = switchfab.LifecycleAdmitter
 	// SwitchMemoryAdmitter runs the memory-based MBAC live inside a
 	// Switch, sharding admission state per output port.
@@ -258,7 +256,7 @@ func NewMetricsRegistry() *MetricsRegistry { return metrics.NewRegistry() }
 func NewEventLog(n int) *EventLog { return metrics.NewEventLog(n) }
 
 // WithAdmitter installs a call-admission policy on a Switch.
-func WithAdmitter(a Admitter) SwitchOption { return switchfab.WithAdmitter(a) }
+func WithAdmitter(a LifecycleAdmitter) SwitchOption { return switchfab.WithAdmitter(a) }
 
 // WithSwitchMetrics publishes a Switch's counters, per-port gauges, and
 // renegotiation latency histogram into reg.
@@ -272,12 +270,9 @@ func WithSwitchEvents(ring *EventLog) SwitchOption { return switchfab.WithEventT
 // lock). The default suits 100k+ established VCs.
 func WithSwitchShards(n int) SwitchOption { return switchfab.WithShards(n) }
 
-// NewSwitch returns a software RCBR switch; a nil admitter admits every call
-// that fits. Options (WithSwitchMetrics, WithSwitchEvents) extend the legacy
-// single-argument form without breaking it.
-func NewSwitch(admitter Admitter, opts ...SwitchOption) *Switch {
-	return switchfab.New(append([]SwitchOption{switchfab.WithAdmitter(admitter)}, opts...)...)
-}
+// NewSwitch returns a software RCBR switch configured by opts. Without
+// WithAdmitter it admits every call that fits within port capacity.
+func NewSwitch(opts ...SwitchOption) *Switch { return switchfab.New(opts...) }
 
 // WithSignalLogger directs a SignalServer's signaling errors to logger.
 func WithSignalLogger(logger *log.Logger) SignalServerOption { return netproto.WithLogger(logger) }

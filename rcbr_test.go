@@ -45,7 +45,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 
 	// A switch over UDP loopback.
-	sw := rcbr.NewSwitch(nil)
+	sw := rcbr.NewSwitch()
 	if err := sw.AddPort(1, 10e6); err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 func TestObservabilityAndErrors(t *testing.T) {
 	reg := rcbr.NewMetricsRegistry()
 	ring := rcbr.NewEventLog(32)
-	sw := rcbr.NewSwitch(nil, rcbr.WithSwitchMetrics(reg), rcbr.WithSwitchEvents(ring))
+	sw := rcbr.NewSwitch(rcbr.WithSwitchMetrics(reg), rcbr.WithSwitchEvents(ring))
 	if err := sw.AddPort(1, 1e6); err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestSwitchMemoryAdmitter(t *testing.T) {
 	}
 	var _ rcbr.LifecycleAdmitter = adm // the switch gets lifecycle callbacks
 
-	sw := rcbr.NewSwitch(nil, rcbr.WithAdmitter(adm), rcbr.WithSwitchShards(4))
+	sw := rcbr.NewSwitch(rcbr.WithAdmitter(adm), rcbr.WithSwitchShards(4))
 	if err := sw.AddPort(1, 10e6); err != nil {
 		t.Fatal(err)
 	}
